@@ -56,7 +56,7 @@ _DEFAULTS: dict[str, dict] = {
         "concepts": None, "priors": None, "prior_model": None, "pairs": None,
         "embeddings": None, "relationship": "equivalence", "mode": "dense",
         "k": 8, "workers": 1, "damping": 0.5, "max_iters": 200,
-        "tolerance": 1e-6, "seed": 0, "repair": False, "default_prior": 0.01,
+        "tolerance": 1e-6, "repair": False, "default_prior": 0.01,
         "weights": None,
     },
     "tune": {
@@ -76,7 +76,6 @@ _DEFAULTS: dict[str, dict] = {
         "concepts": None, "train": None, "validation": None, "embeddings": None,
         "relationship": "equivalence", "learning_rate": 1.0, "epochs": 500,
         "class_weights": True, "temperature_grid": "0.25,0.5,1,1.5,2,3,4",
-        "seed": 0,
     },
 }
 
@@ -111,7 +110,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--damping", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--repair", action=argparse.BooleanOptionalAction)
     p.add_argument("--default-prior", dest="default_prior", type=float)
     p.add_argument("--weights", help="comma-separated potential weights")
@@ -162,7 +160,6 @@ def _build_parser() -> _Parser:
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--temperature-grid", dest="temperature_grid",
                    help="comma-separated temperatures")
-    p.add_argument("--seed", type=int)
     return parser
 
 
@@ -264,7 +261,6 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
         max_iterations=int(cfg.max_iters),
         damping=float(cfg.damping),
         tolerance=float(cfg.tolerance),
-        seed=int(cfg.seed),
     )
     started = time.perf_counter()
     if cfg.mode == "dense":
@@ -485,7 +481,6 @@ def _cmd_train_prior(cfg: SimpleNamespace) -> int:
             learning_rate=float(cfg.learning_rate),
             epochs=int(cfg.epochs),
             class_weighted=bool(cfg.class_weights),
-            seed=int(cfg.seed),
         ),
     )
     grid = _parse_floats(cfg.temperature_grid, "--temperature-grid")

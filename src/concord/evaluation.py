@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .graph import enumerate_ternary_cliques
 from .model import Concept, RelationshipKind, canonical_pair
 
 PairLabels = Mapping[tuple[int, int], int]
@@ -107,26 +108,12 @@ def count_transitivity_violations(
 
 
 def cliques_among(labels: PairLabels, kind: RelationshipKind) -> list[tuple[int, int, int]]:
-    """Concept triples whose three pairs are all present in the label map."""
-    present = set(labels)
-    out: list[tuple[int, int, int]] = []
-    if kind.symmetric:
-        partners: dict[int, list[int]] = {}
-        for i, j in sorted(present):
-            partners.setdefault(i, []).append(j)
-        for i, j in sorted(present):
-            for k in partners.get(j, ()):
-                if (i, k) in present:
-                    out.append((i, j, k))
-    else:
-        onward: dict[int, list[int]] = {}
-        for i, j in sorted(present):
-            onward.setdefault(i, []).append(j)
-        for i, j in sorted(present):
-            for k in onward.get(j, ()):
-                if k != i and (i, k) in present:
-                    out.append((i, j, k))
-    return out
+    """Concept triples whose three pairs are all present in the label map.
+
+    The label map's keys are already canonical for ``kind``, so the walk
+    itself needs no kind.
+    """
+    return enumerate_ternary_cliques(labels)
 
 
 def audit_labels(labels: PairLabels, kind: RelationshipKind) -> tuple[int, list]:

@@ -1,7 +1,7 @@
 """Factor graph assembly: variables, unary priors, shared ternary cliques.
 
-Factor ids are laid out unary-first: factor i < m is the unary factor of
-variable i, factor m + f is ternary clique f.  A ternary clique over
+A graph is its pair variables (listed in sorted pair order, so a variable's
+id is the rank of its pair) plus one row per ternary clique.  A clique over
 concepts (i, j, k) stores its variables in slot order (x_ij, x_jk, x_ik),
 matching the potential table's configuration index 4*x_ij + 2*x_jk + x_ik.
 """
@@ -9,7 +9,7 @@ matching the potential table's configuration index 4*x_ij + 2*x_jk + x_ik.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class FactorGraph:
     triple_concepts: np.ndarray  # (t, 3) concept ids (i, j, k)
     potential: TernaryPotential
     log_table: np.ndarray        # (8,)
-    adj_offsets: np.ndarray      # (m + 1,) CSR offsets into adj_factors
-    adj_factors: np.ndarray      # (m + 3t,) incident factor ids per variable
     pair_index: dict[tuple[int, int], int] = field(repr=False)
 
     @property
@@ -64,60 +62,28 @@ class FactorGraph:
         return tuple(v.pair for v in self.variables)
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.adj_offsets)
-
-    def incident_factors(self, variable: int) -> np.ndarray:
-        return self.adj_factors[self.adj_offsets[variable] : self.adj_offsets[variable + 1]]
+        """Factors per variable: its unary factor plus the cliques it sits in."""
+        return 1 + np.bincount(self.triples.ravel(), minlength=self.num_variables)
 
 
-def enumerate_ternary_cliques(
-    pair_index: Mapping[tuple[int, int], int], n: int, kind: RelationshipKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """List cliques whose three pair variables all exist.
+def enumerate_ternary_cliques(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Concept triples (i, j, k) whose pairs (i, j), (j, k) and (i, k) are all present.
 
-    Returns (variable id triples, concept id triples), ordered
-    lexicographically by concept triple (i, j, k).  For equivalence the
-    triples run over i < j < k; for parent-child over ordered triples of
-    distinct concepts following the chain pattern i->j, j->k, i->k.
+    Triples come in lexicographic order and follow the chain pattern
+    i->j, j->k, i->k over distinct concepts.  Equivalence pairs are
+    canonical (i < j), so there every triple has i < j < k.
     """
-    var_triples: list[tuple[int, int, int]] = []
-    concept_triples: list[tuple[int, int, int]] = []
-    if kind.symmetric:
-        # partners[j] lists k > j with variable (j, k) present.
-        partners: dict[int, list[int]] = {}
-        for i, j in sorted(pair_index):
-            partners.setdefault(i, []).append(j)
-        for i, j in sorted(pair_index):
-            v_ij = pair_index[(i, j)]
-            for k in partners.get(j, ()):  # k > j by construction
-                v_ik = pair_index.get((i, k))
-                if v_ik is None:
-                    continue
-                var_triples.append((v_ij, pair_index[(j, k)], v_ik))
-                concept_triples.append((i, j, k))
-    else:
-        out: dict[int, list[int]] = {}
-        for i, j in sorted(pair_index):
-            out.setdefault(i, []).append(j)
-        for i, j in sorted(pair_index):
-            v_ij = pair_index[(i, j)]
-            for k in out.get(j, ()):
-                if k == i:
-                    continue
-                v_ik = pair_index.get((i, k))
-                if v_ik is None:
-                    continue
-                var_triples.append((v_ij, pair_index[(j, k)], v_ik))
-                concept_triples.append((i, j, k))
-    if not var_triples:
-        return (
-            np.empty((0, 3), dtype=np.int64),
-            np.empty((0, 3), dtype=np.int64),
-        )
-    return (
-        np.array(var_triples, dtype=np.int64),
-        np.array(concept_triples, dtype=np.int64),
-    )
+    present = set(pairs)
+    ordered = sorted(present)
+    onward: dict[int, list[int]] = {}
+    for i, j in ordered:
+        onward.setdefault(i, []).append(j)
+    return [
+        (i, j, k)
+        for i, j in ordered
+        for k in onward.get(j, ())
+        if k != i and (i, k) in present
+    ]
 
 
 def _all_pairs(n: int, kind: RelationshipKind) -> list[tuple[int, int]]:
@@ -177,23 +143,12 @@ def build_factor_graph(
     pair_index = {v.pair: i for i, v in enumerate(variables)}
     unary_log = np.array([v.prior.log_potentials() for v in variables], dtype=np.float64)
 
-    triples, triple_concepts = enumerate_ternary_cliques(pair_index, n, kind)
-
-    m = len(variables)
-    t = triples.shape[0]
-    counts = np.ones(m, dtype=np.int64)  # every variable has its unary factor
-    if t:
-        counts += np.bincount(triples.ravel(), minlength=m)
-    adj_offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=adj_offsets[1:])
-    adj_factors = np.empty(adj_offsets[-1], dtype=np.int64)
-    cursor = adj_offsets[:-1].copy()
-    adj_factors[cursor] = np.arange(m)  # unary factor id equals variable id
-    cursor += 1
-    for f in range(t):
-        for v in triples[f]:
-            adj_factors[cursor[v]] = m + f
-            cursor[v] += 1
+    triple_concepts = np.array(enumerate_ternary_cliques(pairs), dtype=np.int64).reshape(-1, 3)
+    # Both modes list pairs in sorted order, so a pair's variable id is the
+    # rank of its code left * n + right.
+    codes = np.array(pairs, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+    i, j, k = triple_concepts.T
+    triples = np.searchsorted(codes, np.stack([i * n + j, j * n + k, i * n + k], axis=1))
 
     return FactorGraph(
         kind=kind,
@@ -204,8 +159,6 @@ def build_factor_graph(
         triple_concepts=triple_concepts,
         potential=potential,
         log_table=potential.log_table(),
-        adj_offsets=adj_offsets,
-        adj_factors=adj_factors,
         pair_index=pair_index,
     )
 

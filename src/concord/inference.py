@@ -56,7 +56,6 @@ class LbpConfig:
     max_iterations: int = 200
     damping: float = 0.5
     tolerance: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -147,66 +146,6 @@ class MessageStore:
             unary_message=_normalize_rows(graph.unary_log.copy()),
         )
 
-    def edge_id(self, variable: int, factor: int) -> int:
-        m = self.graph.num_variables
-        if factor < m:
-            if factor != variable:
-                raise ValueError(f"unary factor {factor} is not incident to variable {variable}")
-            return variable
-        f = factor - m
-        slots = self.graph.triples[f]
-        matches = np.flatnonzero(slots == variable)
-        if matches.size == 0:
-            raise ValueError(f"factor {factor} is not incident to variable {variable}")
-        return m + 3 * f + int(matches[0])
-
-
-def variable_to_factor_message(store: MessageStore, variable: int, factor: int) -> np.ndarray:
-    """Product (log-sum) of incoming factor messages, excluding the target."""
-    total = np.zeros(2, dtype=np.float64)
-    dead = np.zeros(2, dtype=bool)
-    for w in store.graph.incident_factors(variable):
-        if w == factor:
-            continue
-        incoming = store.factor_to_var[store.edge_id(variable, int(w))]
-        dead |= incoming <= LOG_ZERO_BOUND
-        total += np.where(incoming <= LOG_ZERO_BOUND, 0.0, incoming)
-    message = np.where(dead, LOG_ZERO, total)
-    return _normalize_rows(message[None, :])[0]
-
-
-def factor_to_variable_message(store: MessageStore, factor: int, variable: int) -> np.ndarray:
-    """Max over the factor's configurations consistent with each target state."""
-    graph = store.graph
-    m = graph.num_variables
-    if factor < m:
-        if factor != variable:
-            raise ValueError(f"unary factor {factor} is not incident to variable {variable}")
-        return store.unary_message[variable].copy()
-    f = factor - m
-    slots = graph.triples[f]
-    target = int(np.flatnonzero(slots == variable)[0])
-    table = graph.log_table.reshape(2, 2, 2)
-    incoming = [store.var_to_factor[m + 3 * f + s] for s in range(3)]
-    out = np.full(2, LOG_ZERO, dtype=np.float64)
-    for cfg_index in range(8):
-        cfg = ((cfg_index >> 2) & 1, (cfg_index >> 1) & 1, cfg_index & 1)
-        score = table[cfg]
-        if score <= LOG_ZERO_BOUND:
-            continue
-        live = True
-        for s in range(3):
-            if s == target:
-                continue
-            component = incoming[s][cfg[s]]
-            if component <= LOG_ZERO_BOUND:
-                live = False
-                break
-            score += component
-        if live and score > out[cfg[target]]:
-            out[cfg[target]] = score
-    return _normalize_rows(out[None, :])[0]
-
 
 def _variable_round(store: MessageStore) -> np.ndarray:
     m = store.graph.num_variables
@@ -227,18 +166,16 @@ def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
     computed[:m] = store.unary_message
     if t:
         q = fresh_v2f[m:].reshape(t, 3, 2)
-        in0, in1, in2 = q[:, 0, :], q[:, 1, :], q[:, 2, :]
         table = graph.log_table.reshape(2, 2, 2)
-        # Target slot 0: max over (x1, x2); slots 1 and 2 analogously with
-        # the table transposed so the target axis comes first.
-        pair = _sat_add(in1[:, :, None], in2[:, None, :])
-        out0 = _sat_add(table[None], pair[:, None, :, :]).max(axis=(2, 3))
-        pair = _sat_add(in0[:, :, None], in2[:, None, :])
-        out1 = _sat_add(table.transpose(1, 0, 2)[None], pair[:, None, :, :]).max(axis=(2, 3))
-        pair = _sat_add(in0[:, :, None], in1[:, None, :])
-        out2 = _sat_add(table.transpose(2, 0, 1)[None], pair[:, None, :, :]).max(axis=(2, 3))
-        stacked = np.stack([out0, out1, out2], axis=1).reshape(3 * t, 2)
-        computed[m:] = _normalize_rows(stacked)
+        out = np.empty((t, 3, 2), dtype=np.float64)
+        # Each target slot maxes over the states of the other two, with the
+        # table transposed so the target axis comes first.
+        for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+            pair = _sat_add(q[:, a, :, None], q[:, b, None, :])
+            out[:, target] = _sat_add(
+                table.transpose(target, a, b)[None], pair[:, None, :, :]
+            ).max(axis=(2, 3))
+        computed[m:] = _normalize_rows(out.reshape(3 * t, 2))
     return computed
 
 

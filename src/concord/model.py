@@ -81,37 +81,6 @@ def num_variables(n: int, kind: RelationshipKind) -> int:
     return n * (n - 1)
 
 
-def variable_index(left: int, right: int, n: int, kind: RelationshipKind) -> int:
-    """Dense index of the pair variable, bijective onto [0, num_variables(n, kind)).
-
-    Equivalence pairs are canonicalized first, so (i, j) and (j, i) share an
-    index.  Parent-child pairs keep their orientation.
-    """
-    if not (0 <= left < n and 0 <= right < n):
-        raise ValueError(f"pair ({left}, {right}) out of range for {n} concepts")
-    left, right = canonical_pair(left, right, kind)
-    if kind.symmetric:
-        # Row-major upper triangle: row i contributes n - 1 - i entries.
-        return left * (2 * n - left - 1) // 2 + (right - left - 1)
-    return left * (n - 1) + (right if right < left else right - 1)
-
-
-def pair_from_index(index: int, n: int, kind: RelationshipKind) -> tuple[int, int]:
-    """Inverse of variable_index."""
-    total = num_variables(n, kind)
-    if not 0 <= index < total:
-        raise ValueError(f"variable index {index} out of range [0, {total})")
-    if kind.symmetric:
-        i = 0
-        while index >= n - 1 - i:
-            index -= n - 1 - i
-            i += 1
-        return (i, i + 1 + index)
-    left, offset = divmod(index, n - 1)
-    right = offset if offset < left else offset + 1
-    return (left, right)
-
-
 @dataclass(frozen=True)
 class Concept:
     """A vocabulary entry: integer id, display name, optional sample values."""
@@ -247,10 +216,6 @@ class TernaryPotential:
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return TernaryPotential(self.kind, tuple(v * factor for v in self.table))
-
-    def normalized(self) -> "TernaryPotential":
-        peak = max(self.table)
-        return TernaryPotential(self.kind, tuple(v / peak for v in self.table))
 
     def log_table(self) -> np.ndarray:
         out = np.full(8, LOG_ZERO, dtype=np.float64)

@@ -32,6 +32,7 @@ from .model import (
     canonical_pair,
     validate_vocabulary,
 )
+from .priors import _qgrams
 
 logger = logging.getLogger(__name__)
 
@@ -60,13 +61,6 @@ class Partition:
     anchor: int
     test_pairs: tuple[tuple[int, int], ...]
     graph: FactorGraph
-
-
-def _qgrams(text: str, q: int = 3) -> list[str]:
-    text = text.lower()
-    if len(text) < q:
-        return [text]
-    return [text[i : i + q] for i in range(len(text) - q + 1)]
 
 
 def trigram_embeddings(concepts: Sequence[Concept]) -> dict[int, np.ndarray]:

@@ -68,11 +68,13 @@ def _tokens(name: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(name.lower()) if t]
 
 
-def _qgrams(name: str, q: int = QGRAM_SIZE) -> frozenset[str]:
+def _qgrams(name: str, q: int = QGRAM_SIZE) -> list[str]:
+    """Character q-grams of the lower-cased name, in order; a name shorter
+    than q is its own single gram."""
     text = name.lower()
     if len(text) < q:
-        return frozenset((text,))
-    return frozenset(text[i : i + q] for i in range(len(text) - q + 1))
+        return [text]
+    return [text[i : i + q] for i in range(len(text) - q + 1)]
 
 
 def _jaccard(a: frozenset | set, b: frozenset | set) -> float:
@@ -138,7 +140,7 @@ def extract_features(
         embedding_cosine = _cosine(embeddings[a.id], embeddings[b.id])
 
     return FeatureVector(
-        qgram_similarity=_jaccard(_qgrams(name_a), _qgrams(name_b)),
+        qgram_similarity=_jaccard(frozenset(_qgrams(name_a)), frozenset(_qgrams(name_b))),
         token_jaccard=_jaccard(set(tokens_a), set(tokens_b)),
         edit_similarity=edit_sim,
         word_count_ratio=_ratio(len(tokens_a), len(tokens_b)),
@@ -197,7 +199,6 @@ class TrainConfig:
     learning_rate: float = 1.0
     epochs: int = 500
     class_weighted: bool = True
-    seed: int = 0
 
 
 def _weighted_loss_grad(

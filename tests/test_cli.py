@@ -75,6 +75,14 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         assert main(["stats", "--config", str(cfg)]) == 2
 
+    def test_seed_only_where_something_draws(self, tmp_path):
+        # Decoding and prior training draw no random numbers.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert main(["infer", "--config", str(cfg)]) == 2
+        assert main(["train-prior", "--config", str(cfg)]) == 2
+        assert main(["infer", "--seed", "3"]) == 1  # no such flag
+
 
 class TestInferDense:
     def test_reproduces_golden_assignment(self, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,31 @@ def _dense(n, kind=EQ, priors=None):
     return build_factor_graph(
         _concepts(n), priors or {}, TernaryPotential.default(kind), mode="dense"
     )
+
+
+def _random_pairs(n, kind, rng, share=0.6):
+    if kind.symmetric:
+        candidates = itertools.combinations(range(n), 2)
+    else:
+        candidates = itertools.permutations(range(n), 2)
+    return [pair for pair in candidates if rng.random() < share]
+
+
+def _sparse(n, pairs, kind):
+    return build_factor_graph(
+        _concepts(n), dict.fromkeys(pairs, 0.5), TernaryPotential.default(kind), mode="sparse"
+    )
+
+
+def _brute_force_cliques(pairs):
+    """Every concept triple (i, j, k) whose chain pairs ij, jk, ik are present."""
+    present = set(pairs)
+    concepts = sorted({c for pair in present for c in pair})
+    return [
+        (i, j, k)
+        for i, j, k in itertools.permutations(concepts, 3)
+        if {(i, j), (j, k), (i, k)} <= present
+    ]
 
 
 class TestClosedFormCounts:
@@ -81,16 +107,18 @@ class TestDenseLayout:
         assert (graph.degrees() == 3).all()
 
     def test_adjacency_round_trip(self):
-        graph = _dense(5)
-        m = graph.num_variables
-        for v in range(m):
-            incident = set(graph.incident_factors(v).tolist())
-            assert v in incident  # unary factor id equals variable id
-            from_triples = {
-                m + f for f in range(graph.num_ternary_factors)
-                if v in graph.triples[f]
-            }
-            assert incident == {v} | from_triples
+        # A variable touches its unary factor and every clique holding its pair.
+        rng = np.random.default_rng(1)
+        for kind, n in ((EQ, 8), (PC, 6)):
+            pairs = _random_pairs(n, kind, rng)
+            graph = _sparse(n, pairs, kind)
+            assert graph.num_ternary_factors > 0
+            holding = Counter(
+                pair
+                for i, j, k in _brute_force_cliques(pairs)
+                for pair in ((i, j), (j, k), (i, k))
+            )
+            assert graph.degrees().tolist() == [1 + holding[p] for p in graph.pairs]
 
     def test_triples_sorted_and_increasing(self):
         graph = _dense(6)
@@ -190,26 +218,27 @@ class TestValidation:
 class TestCliqueEnumeration:
     def test_equivalence_counts_match_binomial(self):
         for n in (3, 5, 8):
-            pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-            index = {p: i for i, p in enumerate(sorted(pairs))}
-            triples, _ = enumerate_ternary_cliques(index, n, EQ)
-            assert triples.shape[0] == math.comb(n, 3)
+            pairs = list(itertools.combinations(range(n), 2))
+            assert len(enumerate_ternary_cliques(pairs)) == math.comb(n, 3)
 
     def test_no_pairs_no_cliques(self):
-        triples, concepts = enumerate_ternary_cliques({}, 5, EQ)
-        assert triples.shape == (0, 3)
-        assert concepts.shape == (0, 3)
+        assert enumerate_ternary_cliques([]) == []
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(2)
+        for kind in (EQ, PC) * 25:
+            n = int(rng.integers(3, 9))
+            pairs = _random_pairs(n, kind, rng, share=float(rng.uniform(0.2, 0.9)))
+            assert enumerate_ternary_cliques(pairs) == _brute_force_cliques(pairs)
 
     def test_every_variable_id_valid(self):
         n = 7
         rng = np.random.default_rng(0)
-        pairs = sorted(
-            (i, j)
-            for i, j in itertools.combinations(range(n), 2)
-            if rng.random() < 0.6
-        )
-        index = {p: i for i, p in enumerate(pairs)}
-        triples, concepts = enumerate_ternary_cliques(index, n, EQ)
-        for var_row, cpt_row in zip(triples, concepts):
-            i, j, k = cpt_row.tolist()
-            assert var_row.tolist() == [index[(i, j)], index[(j, k)], index[(i, k)]]
+        for kind in (EQ, PC):
+            pairs = _random_pairs(n, kind, rng)
+            graph = _sparse(n, pairs, kind)
+            concepts = [tuple(row) for row in graph.triple_concepts.tolist()]
+            assert concepts == _brute_force_cliques(pairs)
+            index = graph.pair_index
+            for (i, j, k), row in zip(concepts, graph.triples.tolist()):
+                assert row == [index[(i, j)], index[(j, k)], index[(i, k)]]

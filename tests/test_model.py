@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from concord.graph import _all_pairs
 from concord.model import (
     CONFIGURATIONS,
     DEFAULT_WEIGHTS,
@@ -18,9 +19,7 @@ from concord.model import (
     canonical_pair,
     configuration_index,
     num_variables,
-    pair_from_index,
     validate_vocabulary,
-    variable_index,
 )
 
 EQ = RelationshipKind.EQUIVALENCE
@@ -56,10 +55,12 @@ class TestConfigurations:
 
 
 class TestPairIndexing:
+    # A dense graph's variable ids are the positions of its pairs in the
+    # sorted pair list.
     def test_documented_values(self):
-        assert variable_index(0, 1, 4, EQ) == 0
-        assert variable_index(1, 0, 4, EQ) == 0  # symmetric pairs share an index
-        assert variable_index(2, 3, 4, EQ) == 5
+        assert _all_pairs(4, EQ).index((0, 1)) == 0
+        assert _all_pairs(4, EQ).index((2, 3)) == 5
+        assert _all_pairs(3, PC) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
     def test_counts(self):
         assert num_variables(4, EQ) == 6
@@ -67,40 +68,25 @@ class TestPairIndexing:
         with pytest.raises(ValueError):
             num_variables(1, EQ)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            variable_index(0, 4, 4, EQ)
-        with pytest.raises(ValueError):
-            variable_index(-1, 2, 4, EQ)
-        with pytest.raises(ValueError):
-            variable_index(2, 2, 4, EQ)
-
     @pytest.mark.parametrize("kind", [EQ, PC])
     @pytest.mark.parametrize("n", [2, 3, 7, 26, 100])
     def test_bijection(self, kind, n):
-        total = num_variables(n, kind)
-        seen = set()
-        if kind.symmetric:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        pairs = _all_pairs(n, kind)
+        assert len(pairs) == num_variables(n, kind)
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))  # strictly sorted
         for left, right in pairs:
-            idx = variable_index(left, right, n, kind)
-            assert 0 <= idx < total
-            assert idx not in seen
-            seen.add(idx)
-            assert pair_from_index(idx, n, kind) == (left, right)
-        assert len(seen) == total
+            assert 0 <= left < n and 0 <= right < n
+            assert canonical_pair(left, right, kind) == (left, right)
 
     def test_symmetric_orientation_agrees(self):
         for n in (3, 5, 9):
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        assert variable_index(i, j, n, EQ) == variable_index(j, i, n, EQ)
+                        assert canonical_pair(i, j, EQ) == canonical_pair(j, i, EQ)
 
     def test_parent_child_orientation_distinct(self):
-        assert variable_index(0, 1, 3, PC) != variable_index(1, 0, 3, PC)
+        assert canonical_pair(0, 1, PC) != canonical_pair(1, 0, PC)
 
     def test_canonical_pair(self):
         assert canonical_pair(3, 1, EQ) == (1, 3)
@@ -207,11 +193,10 @@ class TestTernaryPotential:
             with pytest.raises(ValueError):
                 TernaryPotential(EQ, tuple(table))
 
-    def test_scaled_and_normalized(self):
+    def test_scaled(self):
         pot = TernaryPotential.default(EQ)
         doubled = pot.scaled(2.0)
         assert doubled.table == tuple(2.0 * v for v in pot.table)
-        assert doubled.normalized().table == pytest.approx(pot.table)
         with pytest.raises(ValueError):
             pot.scaled(0.0)
 

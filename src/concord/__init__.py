@@ -35,7 +35,6 @@ from .model import (
     Concept,
     PriorBelief,
     RelationshipKind,
-    RelationshipVariable,
     TernaryPotential,
     canonical_pair,
     configuration_index,
@@ -78,7 +77,6 @@ __all__ = [
     "PartitionConfig",
     "PriorBelief",
     "RelationshipKind",
-    "RelationshipVariable",
     "SearchSpace",
     "SyntheticDataset",
     "TernaryPotential",

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import fileio
 from .errors import ConfigurationError, InputFormatError
 from .evaluation import generate_synthetic, prf1
-from .graph import build_factor_graph, count_graph_stats
+from .graph import all_pairs, build_factor_graph, count_graph_stats
 from .inference import LbpConfig, lbp_map
 from .model import PriorBelief, RelationshipKind, TernaryPotential
 from .partition import PartitionConfig, build_partitions, infer_partitions_parallel
@@ -106,7 +106,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--relationship", choices=["equivalence", "parent-child"])
     p.add_argument("--mode", choices=["dense", "partitioned"])
     p.add_argument("--k", type=int, help="neighbors per anchor in partitioned mode")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="processes in partitioned mode, capped at usable cores")
     p.add_argument("--damping", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tolerance", type=float)
@@ -235,10 +236,8 @@ def _load_prior_map(cfg: SimpleNamespace, concepts, kind) -> dict[tuple[int, int
     model = LinearPriorModel.from_dict(payload)
     if cfg.pairs:
         pair_list = fileio.load_pairs(cfg.pairs, n, kind)
-    elif kind.symmetric:
-        pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:
-        pair_list = [(i, j) for i in range(n) for j in range(n) if i != j]
+        pair_list = all_pairs(n, kind)
     embeddings = fileio.load_embeddings(cfg.embeddings) if cfg.embeddings else None
     by_id = {c.id: c for c in concepts}
     logger.info("scoring %d pairs with the prior model", len(pair_list))
@@ -273,7 +272,6 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
             graph.num_variables, graph.num_ternary_factors,
         )
         assignment = lbp_map(graph, lbp, repair=bool(cfg.repair))
-        prior_of = {v.pair: v.prior.p_one for v in graph.variables}
         structure = {
             "variables": graph.num_variables,
             "ternary_factors": graph.num_ternary_factors,
@@ -289,7 +287,6 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
         assignment = infer_partitions_parallel(
             partitions, lbp, workers=int(cfg.workers), repair=bool(cfg.repair)
         )
-        prior_of = {pair: belief.p_one for pair, belief in prior_map.items()}
         structure = {
             "partitions": len(partitions),
             "variables": sum(s["variables"] for s in assignment.partition_summaries),
@@ -299,11 +296,14 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
         }
     wall = time.perf_counter() - started
 
+    # Prior map keys are canonical; dense pairs without one took the default.
+    prior_of = {pair: belief.p_one for pair, belief in prior_map.items()}
+    default_p = PriorBelief(float(cfg.default_prior)).p_one
     rows = []
     flipped = 0
     for pair, label, margin in zip(assignment.pairs, assignment.labels, assignment.margins):
-        prior_p = prior_of.get(pair)
-        if prior_p is not None and int(label) != (1 if prior_p > 0.5 else 0):
+        prior_p = prior_of.get(pair, default_p)
+        if int(label) != (1 if prior_p > 0.5 else 0):
             flipped += 1
         rows.append(
             {

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import enumerate_ternary_cliques
+from .graph import all_pairs, enumerate_ternary_cliques
 from .model import Concept, RelationshipKind, canonical_pair
 
 PairLabels = Mapping[tuple[int, int], int]
@@ -311,7 +311,7 @@ def _generate_equivalence(
     pool = _WordPool(rng)
     concepts, cluster_of = _equivalence_concepts(rng, n_concepts, n_clusters, pool)
     if pair_mode == "all":
-        pairs = [(i, j) for i in range(n_concepts) for j in range(i + 1, n_concepts)]
+        pairs = all_pairs(n_concepts, RelationshipKind.EQUIVALENCE)
     elif pair_mode == "sparse":
         pairs = _sample_sparse_pairs(rng, n_concepts, cluster_of, pairs_per_concept)
     else:

@@ -1,14 +1,15 @@
-"""Factor graph assembly: variables, unary priors, shared ternary cliques.
+"""Factor graph assembly: pairs, unary evidence, shared ternary cliques.
 
-A graph is its pair variables (listed in sorted pair order, so a variable's
-id is the rank of its pair) plus one row per ternary clique.  A clique over
-concepts (i, j, k) stores its variables in slot order (x_ij, x_jk, x_ik),
-matching the potential table's configuration index 4*x_ij + 2*x_jk + x_ik.
+A graph is its sorted concept pairs (a variable's id is the rank of its
+pair), their unary log priors and one row per ternary clique, under a
+shared potential that swaps without a rebuild.  A clique over concepts
+(i, j, k) stores its variables in slot order (x_ij, x_jk, x_ik), matching
+the potential table's configuration index 4*x_ij + 2*x_jk + x_ik.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,7 +19,6 @@ from .model import (
     Concept,
     PriorBelief,
     RelationshipKind,
-    RelationshipVariable,
     TernaryPotential,
     canonical_pair,
     num_variables,
@@ -30,19 +30,24 @@ DEFAULT_PRIOR_P_ONE = 0.01
 
 @dataclass(frozen=True, eq=False)
 class FactorGraph:
-    kind: RelationshipKind
     n_concepts: int
-    variables: tuple[RelationshipVariable, ...]
+    pairs: tuple[tuple[int, int], ...]  # sorted; variable i is pairs[i]
     unary_log: np.ndarray        # (m, 2) raw log prior potentials
     triples: np.ndarray          # (t, 3) variable ids in slot order (ij, jk, ik)
     triple_concepts: np.ndarray  # (t, 3) concept ids (i, j, k)
     potential: TernaryPotential
-    log_table: np.ndarray        # (8,)
-    pair_index: dict[tuple[int, int], int] = field(repr=False)
+
+    @property
+    def kind(self) -> RelationshipKind:
+        return self.potential.kind
+
+    @property
+    def log_table(self) -> np.ndarray:
+        return self.potential.log_table()
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.pairs)
 
     @property
     def num_ternary_factors(self) -> int:
@@ -56,10 +61,6 @@ class FactorGraph:
     def num_edges(self) -> int:
         # One unary edge per variable plus three edges per ternary clique.
         return self.num_variables + 3 * self.num_ternary_factors
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(v.pair for v in self.variables)
 
     def degrees(self) -> np.ndarray:
         """Factors per variable: its unary factor plus the cliques it sits in."""
@@ -86,10 +87,33 @@ def enumerate_ternary_cliques(pairs: Iterable[tuple[int, int]]) -> list[tuple[in
     ]
 
 
-def _all_pairs(n: int, kind: RelationshipKind) -> list[tuple[int, int]]:
+def all_pairs(n: int, kind: RelationshipKind) -> list[tuple[int, int]]:
+    """Every canonical pair over n concepts, in sorted order."""
     if kind.symmetric:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def canonical_priors(
+    priors: Mapping[tuple[int, int], PriorBelief | float], n: int, kind: RelationshipKind
+) -> dict[tuple[int, int], PriorBelief]:
+    """Key each prior by its canonical pair and wrap bare floats as beliefs.
+
+    Self-pairs, ids outside 0..n-1 and two entries that name the same
+    canonical pair raise ConfigurationError.
+    """
+    canon: dict[tuple[int, int], PriorBelief] = {}
+    for (left, right), value in priors.items():
+        left, right = int(left), int(right)
+        if left == right:
+            raise ConfigurationError(f"prior pair ({left}, {right}) is a self-pair")
+        pair = canonical_pair(left, right, kind)
+        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+            raise ConfigurationError(f"prior pair {pair} references unknown concept ids")
+        if pair in canon:
+            raise ConfigurationError(f"duplicate prior for pair {pair}")
+        canon[pair] = value if isinstance(value, PriorBelief) else PriorBelief(float(value))
+    return canon
 
 
 def build_factor_graph(
@@ -110,18 +134,10 @@ def build_factor_graph(
     kind = potential.kind
     if n < 2:
         raise ConfigurationError("need at least 2 concepts to build a graph")
-
-    canon: dict[tuple[int, int], PriorBelief] = {}
-    for (left, right), value in priors.items():
-        pair = canonical_pair(int(left), int(right), kind)
-        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
-            raise ConfigurationError(f"prior pair {pair} references unknown concept ids")
-        if pair in canon:
-            raise ConfigurationError(f"duplicate prior for pair {pair}")
-        canon[pair] = value if isinstance(value, PriorBelief) else PriorBelief(float(value))
+    canon = canonical_priors(priors, n, kind)
 
     if mode == "dense":
-        pairs = _all_pairs(n, kind)
+        pairs = all_pairs(n, kind)
         if strict:
             missing = [p for p in pairs if p not in canon]
             if missing:
@@ -136,12 +152,9 @@ def build_factor_graph(
         raise ConfigurationError(f"unknown graph mode {mode!r}")
 
     default = PriorBelief(default_prior)
-    variables = tuple(
-        RelationshipVariable(left, right, canon.get((left, right), default))
-        for left, right in pairs
+    unary_log = np.array(
+        [canon.get(pair, default).log_potentials() for pair in pairs], dtype=np.float64
     )
-    pair_index = {v.pair: i for i, v in enumerate(variables)}
-    unary_log = np.array([v.prior.log_potentials() for v in variables], dtype=np.float64)
 
     triple_concepts = np.array(enumerate_ternary_cliques(pairs), dtype=np.int64).reshape(-1, 3)
     # Both modes list pairs in sorted order, so a pair's variable id is the
@@ -151,15 +164,12 @@ def build_factor_graph(
     triples = np.searchsorted(codes, np.stack([i * n + j, j * n + k, i * n + k], axis=1))
 
     return FactorGraph(
-        kind=kind,
         n_concepts=n,
-        variables=variables,
+        pairs=tuple(pairs),
         unary_log=unary_log,
         triples=triples,
         triple_concepts=triple_concepts,
         potential=potential,
-        log_table=potential.log_table(),
-        pair_index=pair_index,
     )
 
 

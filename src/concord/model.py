@@ -9,7 +9,7 @@ label configurations that would break transitivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -130,25 +130,6 @@ class PriorBelief:
 
     def log_potentials(self) -> tuple[float, float]:
         return (math.log(self.p_zero), math.log(self.p_one))
-
-
-@dataclass(frozen=True)
-class RelationshipVariable:
-    """Binary variable for one (possibly ordered) concept pair."""
-
-    left: int
-    right: int
-    prior: PriorBelief
-
-    def __post_init__(self) -> None:
-        if self.left == self.right:
-            raise ValueError(f"self-pair ({self.left}, {self.right}) is not allowed")
-        if self.left < 0 or self.right < 0:
-            raise ValueError("concept ids must be non-negative")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.left, self.right)
 
 
 # Default shared table weights, one value per free configuration in table

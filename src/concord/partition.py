@@ -14,6 +14,7 @@ independent of worker count and merge order.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import DEFAULT_PRIOR_P_ONE, FactorGraph, build_factor_graph
+from .graph import DEFAULT_PRIOR_P_ONE, FactorGraph, build_factor_graph, canonical_priors
 from .inference import LbpConfig, lbp_map
 from .model import (
     AssignmentGraph,
@@ -139,16 +140,13 @@ def build_partitions(
     kind = potential.kind
     if not pairs:
         raise ConfigurationError("cannot partition an empty pair list")
+    canon_priors = canonical_priors(priors, n, kind)
     test_pairs = sorted({canonical_pair(left, right, kind) for left, right in pairs})
     by_anchor: dict[int, list[tuple[int, int]]] = {}
     for pair in test_pairs:
         by_anchor.setdefault(pair[0], []).append(pair)
 
     vectors = _resolve_embeddings(concepts, embeddings)
-    canon_priors: dict[tuple[int, int], PriorBelief] = {}
-    for (left, right), value in priors.items():
-        pair = canonical_pair(int(left), int(right), kind)
-        canon_priors[pair] = value if isinstance(value, PriorBelief) else PriorBelief(float(value))
 
     partitions: list[Partition] = []
     for anchor in sorted(by_anchor):
@@ -199,6 +197,12 @@ def _solve_partition(
     }
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not every platform has affinity
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def infer_partitions_parallel(
     partitions: Sequence[Partition],
     lbp_config: LbpConfig | None = None,
@@ -208,13 +212,15 @@ def infer_partitions_parallel(
     """Run every partition and merge anchor-owned labels.
 
     The merge collects results in partition order, so any worker count
-    produces bitwise-identical output.
+    produces bitwise-identical output.  No more processes start than this
+    process has usable cores; with one, partitions run in-process.
     """
     if not partitions:
         raise ConfigurationError("no partitions to infer")
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
     lbp_config = lbp_config or LbpConfig()
+    workers = min(workers, _usable_cores())
     if workers == 1:
         results = [_solve_partition(p, lbp_config, repair) for p in partitions]
     else:

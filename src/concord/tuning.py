@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -136,24 +136,21 @@ class TrialRecord:
 
 def evaluate_config(
     config: TrialConfig,
-    build: GraphBuilder,
+    graph: FactorGraph,
     gold: Mapping[tuple[int, int], int],
     tolerance: float = 1e-6,
 ) -> float:
-    """Build the graph under this configuration, decode, and score F1."""
-    graph = build(config.potential())
+    """Decode ``graph`` under this configuration's potential and score F1.
+
+    Every gold pair must be a pair of ``graph``; ``tune`` checks this once.
+    """
     lbp = LbpConfig(
         max_iterations=config.max_iterations,
         damping=config.damping,
         tolerance=tolerance,
     )
-    assignment = lbp_map(graph, lbp)
+    assignment = lbp_map(replace(graph, potential=config.potential()), lbp)
     predicted_all = assignment.label_map()
-    missing = [pair for pair in gold if pair not in predicted_all]
-    if missing:
-        raise ConfigurationError(
-            f"{len(missing)} gold pairs missing from the built graph, first: {missing[0]}"
-        )
     predicted = {pair: predicted_all[pair] for pair in gold}
     return prf1(predicted, gold).f1
 
@@ -169,8 +166,10 @@ def tune(
 ) -> tuple[TrialRecord, list[TrialRecord]]:
     """Run ``budget`` trials and return (best record, full history).
 
-    Ties keep the earliest trial, so seeding trial 0 with a known-good
-    configuration guarantees the result is never worse than it.
+    ``build`` is called once, with trial 0's potential; every trial decodes
+    that graph under its own potential.  Ties keep the earliest trial, so
+    seeding trial 0 with a known-good configuration guarantees the result
+    is never worse than it.
     """
     if budget < 1:
         raise ConfigurationError("budget must be at least 1")
@@ -180,17 +179,25 @@ def tune(
         raise ConfigurationError("gold labels contain no positive pair")
     rng = np.random.default_rng(seed)
     explore_trials = math.ceil(budget / 2)
+    first = initial if initial is not None else space.sample(rng)
+    graph = build(first.potential())
+    present = set(graph.pairs)
+    missing = [pair for pair in gold if pair not in present]
+    if missing:
+        raise ConfigurationError(
+            f"{len(missing)} gold pairs missing from the built graph, first: {missing[0]}"
+        )
     history: list[TrialRecord] = []
     best: TrialRecord | None = None
     for index in range(budget):
-        if index == 0 and initial is not None:
-            config = initial
+        if index == 0:
+            config = first
         elif index < explore_trials:
             config = space.sample(rng)
         else:
             config = space.perturb(rng, best.config)
         started = time.perf_counter()
-        objective = evaluate_config(config, build, gold, tolerance)
+        objective = evaluate_config(config, graph, gold, tolerance)
         record = TrialRecord(index, config, objective, time.perf_counter() - started)
         history.append(record)
         if best is None or record.objective > best.objective:

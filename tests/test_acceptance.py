@@ -6,6 +6,7 @@ comments were measured on the reference container; the asserted budgets
 leave generous headroom over them.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -264,11 +265,7 @@ def test_criterion_7_invariance_properties():
             factor = 10.0 if case % 2 else 0.1
             potential = _random_potential(rng)
             graph = _random_dense(3, rng, potential=potential)
-            scaled = build_factor_graph(
-                _concepts(3),
-                {v.pair: v.prior for v in graph.variables},
-                potential.scaled(factor), mode="dense",
-            )
+            scaled = dataclasses.replace(graph, potential=potential.scaled(factor))
             base = lbp_map(graph, LbpConfig())
             shifted = lbp_map(scaled, LbpConfig())
             assert base.labels.tolist() == shifted.labels.tolist()

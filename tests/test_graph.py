@@ -131,19 +131,21 @@ class TestDenseLayout:
         concepts = [tuple(row) for row in graph.triple_concepts]
         assert len(concepts) == 6
         assert all(len({i, j, k}) == 3 for i, j, k in concepts)
-        index = graph.pair_index
+        index = graph.pairs.index
         for (i, j, k), row in zip(concepts, graph.triples):
-            assert row.tolist() == [index[(i, j)], index[(j, k)], index[(i, k)]]
+            assert row.tolist() == [index((i, j)), index((j, k)), index((i, k))]
 
     def test_default_prior_fills_gaps(self):
         graph = _dense(3, priors={(0, 1): 0.9})
-        by_pair = {v.pair: v.prior.p_one for v in graph.variables}
-        assert by_pair[(0, 1)] == pytest.approx(0.9)
-        assert by_pair[(0, 2)] == pytest.approx(DEFAULT_PRIOR_P_ONE)
+        row_of = dict(zip(graph.pairs, graph.unary_log.tolist()))
+        assert row_of[(0, 1)] == list(PriorBelief(0.9).log_potentials())
+        assert row_of[(0, 2)] == list(PriorBelief(DEFAULT_PRIOR_P_ONE).log_potentials())
+        assert row_of[(1, 2)] == list(PriorBelief(DEFAULT_PRIOR_P_ONE).log_potentials())
 
     def test_unary_log_matches_priors(self):
         graph = _dense(3, priors={(0, 1): 0.8})
-        row = graph.unary_log[graph.pair_index[(0, 1)]]
+        row = graph.unary_log[graph.pairs.index((0, 1))]
+        assert row.tolist() == list(PriorBelief(0.8).log_potentials())
         assert row[0] == pytest.approx(math.log(0.2))
         assert row[1] == pytest.approx(math.log(0.8))
 
@@ -185,6 +187,12 @@ class TestValidation:
                 _concepts(3),
                 {(0, 1): 0.9, (1, 0): 0.8},
                 TernaryPotential.default(EQ),
+            )
+
+    def test_self_pair_prior_rejected(self):
+        with pytest.raises(ConfigurationError, match="self-pair"):
+            build_factor_graph(
+                _concepts(3), {(2, 2): 0.5}, TernaryPotential.default(EQ)
             )
 
     def test_unknown_concept_in_priors(self):
@@ -239,6 +247,6 @@ class TestCliqueEnumeration:
             graph = _sparse(n, pairs, kind)
             concepts = [tuple(row) for row in graph.triple_concepts.tolist()]
             assert concepts == _brute_force_cliques(pairs)
-            index = graph.pair_index
+            index = graph.pairs.index
             for (i, j, k), row in zip(concepts, graph.triples.tolist()):
-                assert row == [index[(i, j)], index[(j, k)], index[(i, k)]]
+                assert row == [index((i, j)), index((j, k)), index((i, k))]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from concord.graph import _all_pairs
+from concord.graph import all_pairs
 from concord.model import (
     CONFIGURATIONS,
     DEFAULT_WEIGHTS,
@@ -14,7 +14,6 @@ from concord.model import (
     Concept,
     PriorBelief,
     RelationshipKind,
-    RelationshipVariable,
     TernaryPotential,
     canonical_pair,
     configuration_index,
@@ -58,9 +57,9 @@ class TestPairIndexing:
     # A dense graph's variable ids are the positions of its pairs in the
     # sorted pair list.
     def test_documented_values(self):
-        assert _all_pairs(4, EQ).index((0, 1)) == 0
-        assert _all_pairs(4, EQ).index((2, 3)) == 5
-        assert _all_pairs(3, PC) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert all_pairs(4, EQ).index((0, 1)) == 0
+        assert all_pairs(4, EQ).index((2, 3)) == 5
+        assert all_pairs(3, PC) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
     def test_counts(self):
         assert num_variables(4, EQ) == 6
@@ -71,7 +70,7 @@ class TestPairIndexing:
     @pytest.mark.parametrize("kind", [EQ, PC])
     @pytest.mark.parametrize("n", [2, 3, 7, 26, 100])
     def test_bijection(self, kind, n):
-        pairs = _all_pairs(n, kind)
+        pairs = all_pairs(n, kind)
         assert len(pairs) == num_variables(n, kind)
         assert all(a < b for a, b in zip(pairs, pairs[1:]))  # strictly sorted
         for left, right in pairs:
@@ -142,10 +141,6 @@ class TestPriorBelief:
     def test_always_finite_logs(self, p):
         lp = PriorBelief(p).log_potentials()
         assert all(math.isfinite(v) for v in lp)
-
-    def test_variable_rejects_self_pair(self):
-        with pytest.raises(ValueError):
-            RelationshipVariable(2, 2, PriorBelief(0.5))
 
 
 class TestTernaryPotential:

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from concord.errors import ConfigurationError
 from concord.evaluation import generate_synthetic
 from concord.graph import build_factor_graph
 from concord.inference import LbpConfig, lbp_map
+from concord import partition
 from concord.model import Concept, PriorBelief, RelationshipKind, TernaryPotential
 from concord.partition import (
     PartitionConfig,
@@ -113,10 +116,10 @@ class TestBuildPartitions:
             {(0, 1): 0.9, (0, 2): 0.8},
             potential, PartitionConfig(k=2, default_prior=0.05),
         )[0]
-        def prior_of(part, pair):
-            return part.graph.variables[part.graph.pair_index[pair]].prior.p_one
-        assert prior_of(with_prior, (1, 2)) == pytest.approx(0.7)
-        assert prior_of(without, (1, 2)) == pytest.approx(0.05)
+        def unary_row(part, pair):
+            return part.graph.unary_log[part.graph.pairs.index(pair)].tolist()
+        assert unary_row(with_prior, (1, 2)) == list(PriorBelief(0.7).log_potentials())
+        assert unary_row(without, (1, 2)) == list(PriorBelief(0.05).log_potentials())
 
     def test_counterparts_outside_top_k_do_not_close(self):
         concepts = _concepts(4)
@@ -209,6 +212,17 @@ class TestBuildPartitions:
             build_partitions(
                 _concepts(3), [], {}, TernaryPotential.default(EQ)
             )
+        # Malformed priors fail as in build_factor_graph: two entries for one
+        # canonical pair, an unknown concept id, a self-pair.
+        for priors in (
+            {(0, 1): 0.9, (1, 0): 0.1},
+            {(0, 1): 0.9, (0, 7): 0.5},
+            {(0, 1): 0.9, (2, 2): 0.5},
+        ):
+            with pytest.raises(ConfigurationError):
+                build_partitions(
+                    _concepts(3), [(0, 1)], priors, TernaryPotential.default(EQ)
+                )
 
 
 class TestMergedInference:
@@ -231,6 +245,25 @@ class TestMergedInference:
         assert np.array_equal(serial.margins, threaded.margins)
         assert serial.log_score == threaded.log_score
         assert serial.iterations == threaded.iterations
+
+    @pytest.mark.parametrize("cores, pools", [({0, 1}, [2]), ({0}, [])])
+    def test_workers_capped_at_usable_cores(self, monkeypatch, cores, pools):
+        _, parts = self._dataset_partitions()
+        serial = infer_partitions_parallel(parts, workers=1)
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        monkeypatch.setattr(partition, "ProcessPoolExecutor", RecordingPool)
+        capped = infer_partitions_parallel(parts, workers=8)
+        assert started == pools  # one core runs in-process
+        assert capped.pairs == serial.pairs
+        assert capped.labels.tolist() == serial.labels.tolist()
+        assert capped.margins.tolist() == serial.margins.tolist()
 
     def test_merge_bookkeeping(self):
         _, parts = self._dataset_partitions()

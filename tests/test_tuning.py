@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from concord.errors import ConfigurationError
 from concord.evaluation import generate_synthetic
 from concord.graph import build_factor_graph
+from concord.inference import LbpConfig, lbp_map
 from concord.model import Concept, RelationshipKind, TernaryPotential
 from concord.tuning import SearchSpace, TrialConfig, evaluate_config, tune
 
@@ -85,23 +86,22 @@ class TestEvaluateConfig:
         concepts = _concepts(3)
         priors = {(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.1}
         gold = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
-        space = SearchSpace.default(EQ)
-        f1 = evaluate_config(
-            space.default_config(), _builder(concepts, priors), gold
-        )
+        config = SearchSpace.default(EQ).default_config()
+        graph = _builder(concepts, priors)(config.potential())
+        f1 = evaluate_config(config, graph, gold)
         # Transitive closure pulls the dissenting third pair up to positive.
         assert f1 == 1.0
 
-    def test_missing_gold_pair_is_an_error(self):
+    def test_decodes_under_the_config_potential(self):
+        # The graph's own potential is replaced by the configuration's.
         concepts = _concepts(3)
-        priors = {(0, 1): 0.9}
-        gold = {(0, 1): 1, (0, 2): 1}
-        with pytest.raises(ConfigurationError, match="missing"):
-            evaluate_config(
-                SearchSpace.default(EQ).default_config(),
-                _builder(concepts, priors),
-                gold,
-            )
+        priors = {(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.1}
+        gold = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+        config = SearchSpace.default(EQ).default_config()
+        flat = TernaryPotential.from_weights(EQ, (1.0, 1e-3, 1e-3, 1e-3, 1e-3))
+        graph = _builder(concepts, priors)(flat)
+        assert lbp_map(graph, LbpConfig()).labels.tolist() == [0, 0, 0]
+        assert evaluate_config(config, graph, gold) == 1.0
 
 
 class TestTune:
@@ -112,6 +112,29 @@ class TestTune:
         build = _builder(list(data.concepts), data.priors)
         gold = {pair: data.gold[pair] for pair in data.pairs}
         return build, gold
+
+    def test_builds_the_graph_once(self):
+        build, gold = self._small_problem()
+        potentials = []
+
+        def counting_build(potential):
+            potentials.append(potential)
+            return build(potential)
+
+        space = SearchSpace.default(EQ)
+        initial = space.default_config()
+        _, history = tune(space, counting_build, gold, budget=6, seed=3, initial=initial)
+        assert len(history) == 6
+        assert potentials == [initial.potential()]
+        _, history = tune(space, counting_build, gold, budget=3, seed=3)
+        assert potentials[1:] == [history[0].config.potential()]
+
+    def test_missing_gold_pair_is_an_error(self):
+        concepts = _concepts(3)
+        priors = {(0, 1): 0.9}
+        gold = {(0, 1): 1, (0, 2): 1}
+        with pytest.raises(ConfigurationError, match="missing"):
+            tune(SearchSpace.default(EQ), _builder(concepts, priors), gold, budget=1)
 
     def test_budget_one_runs_exactly_the_initial(self):
         build, gold = self._small_problem()
@@ -152,7 +175,7 @@ class TestTune:
         build, gold = self._small_problem()
         space = SearchSpace.default(EQ)
         initial = space.default_config()
-        baseline = evaluate_config(initial, build, gold)
+        baseline = evaluate_config(initial, build(initial.potential()), gold)
         best, _ = tune(space, build, gold, budget=12, seed=7, initial=initial)
         assert best.objective >= baseline
 

@@ -344,11 +344,6 @@ def _cmd_tune(cfg: SimpleNamespace) -> int:
     concepts = fileio.load_concepts(cfg.concepts)
     priors = load_external_priors(cfg.priors, len(concepts), kind)
     gold = fileio.load_labels(cfg.gold, len(concepts), kind)
-    missing = [pair for pair in gold if pair not in priors]
-    if missing:
-        raise ConfigurationError(
-            f"{len(missing)} gold pairs have no prior, first: {missing[0]}"
-        )
     space = SearchSpace.default(kind)
 
     def build(potential: TernaryPotential):

@@ -94,6 +94,20 @@ def all_pairs(n: int, kind: RelationshipKind) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+def checked_pair(
+    left: int, right: int, n: int, kind: RelationshipKind, role: str = "pair"
+) -> tuple[int, int]:
+    """Canonical pair of (left, right); a self-pair or an id outside 0..n-1
+    raises ConfigurationError."""
+    left, right = int(left), int(right)
+    if left == right:
+        raise ConfigurationError(f"{role} ({left}, {right}) is a self-pair")
+    pair = canonical_pair(left, right, kind)
+    if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+        raise ConfigurationError(f"{role} {pair} references unknown concept ids")
+    return pair
+
+
 def canonical_priors(
     priors: Mapping[tuple[int, int], PriorBelief | float], n: int, kind: RelationshipKind
 ) -> dict[tuple[int, int], PriorBelief]:
@@ -104,12 +118,7 @@ def canonical_priors(
     """
     canon: dict[tuple[int, int], PriorBelief] = {}
     for (left, right), value in priors.items():
-        left, right = int(left), int(right)
-        if left == right:
-            raise ConfigurationError(f"prior pair ({left}, {right}) is a self-pair")
-        pair = canonical_pair(left, right, kind)
-        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
-            raise ConfigurationError(f"prior pair {pair} references unknown concept ids")
+        pair = checked_pair(left, right, n, kind, "prior pair")
         if pair in canon:
             raise ConfigurationError(f"duplicate prior for pair {pair}")
         canon[pair] = value if isinstance(value, PriorBelief) else PriorBelief(float(value))

@@ -211,9 +211,9 @@ class AssignmentGraph:
     """Decoded labels for a graph plus score and audit metadata.
 
     ``pairs[i]`` is the concept pair of variable i and ``labels[i]`` its
-    decoded state.  ``violations`` lists offending ternary cliques: plain
-    clique indices for a single graph, (anchor, local index) tuples for a
-    merged partitioned run.
+    decoded state.  ``violations`` lists offending ternary cliques: clique
+    indices for a single graph, concept triples from a global audit of the
+    merged labels for a partitioned run.
     """
 
     kind: RelationshipKind

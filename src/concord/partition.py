@@ -3,12 +3,12 @@
 Candidate pairs are grouped by their left concept.  Each anchor gets a
 local graph over its own pairs plus the closing pairs between counterpart
 concepts, restricted to counterparts inside the anchor's top-k cosine
-neighborhood; those closings are what turn two anchored pairs into a
-ternary clique, and the top-k cut keeps every local graph a constant size
-in k.  An anchor with a single pair, or whose counterparts are mutually
-dissimilar, stays a unary-only problem and decodes straight from its
-priors.  A pair is decided only by its anchor's partition, so results are
-independent of worker count and merge order.
+neighborhood (one similarity pass serves every anchor); those closings are
+what turn two anchored pairs into a ternary clique, and the top-k cut keeps
+every local graph a constant size in k.  An anchor with a single pair, or
+whose counterparts are mutually dissimilar, stays a unary-only problem and
+decodes straight from its priors.  A pair is decided only by its anchor's
+partition, so results are independent of worker count and merge order.
 """
 
 from __future__ import annotations
@@ -22,13 +22,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import DEFAULT_PRIOR_P_ONE, FactorGraph, build_factor_graph, canonical_priors
+from .evaluation import audit_labels
+from .graph import (
+    DEFAULT_PRIOR_P_ONE,
+    FactorGraph,
+    build_factor_graph,
+    canonical_priors,
+    checked_pair,
+)
 from .inference import LbpConfig, lbp_map
 from .model import (
     AssignmentGraph,
     Concept,
     PriorBelief,
-    RelationshipKind,
     TernaryPotential,
     canonical_pair,
     validate_vocabulary,
@@ -64,9 +70,12 @@ class Partition:
     graph: FactorGraph
 
 
-def trigram_embeddings(concepts: Sequence[Concept]) -> dict[int, np.ndarray]:
-    """Character-trigram TF-IDF vectors over concept names, L2-normalized."""
-    validate_vocabulary(concepts)
+def trigram_embeddings(concepts: Sequence[Concept]) -> np.ndarray:
+    """Character-trigram TF-IDF vectors over concept names, L2-normalized.
+
+    Row i is the vector of concept id i.
+    """
+    n = validate_vocabulary(concepts)
     grams_per_concept = [_qgrams(c.name) for c in concepts]
     vocab = sorted({g for grams in grams_per_concept for g in grams})
     index = {g: i for i, g in enumerate(vocab)}
@@ -74,51 +83,52 @@ def trigram_embeddings(concepts: Sequence[Concept]) -> dict[int, np.ndarray]:
     for grams in grams_per_concept:
         for g in set(grams):
             df[index[g]] += 1.0
-    idf = np.log(len(concepts) / (1.0 + df)) + 1.0
-    out: dict[int, np.ndarray] = {}
+    idf = np.log(n / (1.0 + df)) + 1.0
+    out = np.zeros((n, len(vocab)), dtype=np.float64)
     for concept, grams in zip(concepts, grams_per_concept):
-        vec = np.zeros(len(vocab), dtype=np.float64)
+        vec = out[concept.id]
         for g in grams:
             vec[index[g]] += 1.0
         vec *= idf
         norm = np.linalg.norm(vec)
-        out[concept.id] = vec / norm if norm > 0 else vec
+        if norm > 0:
+            vec /= norm
     return out
 
 
-def top_k_neighbors(
-    concept: int, embeddings: Mapping[int, np.ndarray], k: int
-) -> list[int]:
-    """Ids of the k most cosine-similar concepts, ties toward smaller ids."""
-    if concept not in embeddings:
-        raise ValueError(f"concept {concept} has no embedding")
-    ids = sorted(embeddings)
-    others = [i for i in ids if i != concept]
-    if k > len(others):
-        logger.warning(
-            "k=%d exceeds the %d available neighbors of concept %d; clipping",
-            k, len(others), concept,
-        )
-        k = len(others)
-    if k == 0:
-        return []
-    matrix = np.stack([embeddings[i] for i in others])
-    anchor = embeddings[concept]
-    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(anchor)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where(norms > 0, matrix @ anchor / norms, 0.0)
-    # Stable sort on negated similarity keeps ascending id among ties.
-    order = np.argsort(-sims, kind="stable")[:k]
-    return [others[i] for i in order]
+def top_k_neighbors(vectors: np.ndarray, k: int) -> np.ndarray:
+    """Row i holds the ids of the k concepts most cosine-similar to concept i.
+
+    ``vectors`` is the ``(n, d)`` embedding matrix indexed by concept id.
+    Identical vectors read one row and column of the similarity matrix, the
+    first of their ids, so they tie exactly, and ties go to smaller ids.  k is
+    clipped to n - 1.
+    """
+    n = len(vectors)
+    if k > n - 1:
+        logger.warning("k=%d exceeds the %d available neighbors; clipping", k, n - 1)
+        k = n - 1
+    first: dict[bytes, int] = {}
+    shared = [first.setdefault(vec.tobytes(), i) for i, vec in enumerate(vectors)]
+    norms = np.linalg.norm(vectors, axis=1)
+    norms[norms == 0] = 1.0  # a zero vector keeps similarity 0 to all
+    negated = vectors @ vectors.T
+    negated /= np.outer(-norms, norms)
+    negated = negated[np.ix_(shared, shared)]
+    np.fill_diagonal(negated, np.inf)  # a concept is not its own neighbor
+    # A stable sort on negated similarity keeps ascending id among ties.
+    return np.argsort(negated, axis=1, kind="stable")[:, :k]
 
 
 def _resolve_embeddings(
     concepts: Sequence[Concept], embeddings: Mapping[int, np.ndarray] | None
-) -> Mapping[int, np.ndarray]:
+) -> np.ndarray:
+    """External embeddings of ids 0..n-1 stacked by id, else trigram TF-IDF."""
+    ids = range(len(concepts))
     if embeddings is not None:
-        missing = [c.id for c in concepts if c.id not in embeddings]
+        missing = [i for i in ids if i not in embeddings]
         if not missing:
-            return embeddings
+            return np.stack([embeddings[i] for i in ids], dtype=np.float64)
         logger.warning(
             "%d concepts lack external embeddings (first: %d); "
             "falling back to character-trigram TF-IDF for all concepts",
@@ -135,23 +145,27 @@ def build_partitions(
     config: PartitionConfig = PartitionConfig(),
     embeddings: Mapping[int, np.ndarray] | None = None,
 ) -> list[Partition]:
-    """Group pairs by left concept and build each anchor's local graph."""
+    """Group pairs by left concept and build each anchor's local graph.
+
+    A self-pair or an unknown id in ``pairs`` raises ConfigurationError;
+    two orientations of one symmetric pair name the same pair.
+    """
     n = validate_vocabulary(concepts)
     kind = potential.kind
     if not pairs:
         raise ConfigurationError("cannot partition an empty pair list")
     canon_priors = canonical_priors(priors, n, kind)
-    test_pairs = sorted({canonical_pair(left, right, kind) for left, right in pairs})
+    test_pairs = sorted({checked_pair(left, right, n, kind) for left, right in pairs})
     by_anchor: dict[int, list[tuple[int, int]]] = {}
     for pair in test_pairs:
         by_anchor.setdefault(pair[0], []).append(pair)
 
-    vectors = _resolve_embeddings(concepts, embeddings)
+    neighbors = top_k_neighbors(_resolve_embeddings(concepts, embeddings), config.k)
 
     partitions: list[Partition] = []
     for anchor in sorted(by_anchor):
         anchored = by_anchor[anchor]
-        allowed = set(top_k_neighbors(anchor, vectors, config.k))
+        allowed = set(neighbors[anchor].tolist())
         # Closing a clique takes two anchored pairs, so only counterpart
         # concepts inside the top-k cut can induce extra variables.
         eligible = sorted({pair[1] for pair in anchored} & allowed)
@@ -173,28 +187,14 @@ def build_partitions(
 
 def _solve_partition(
     partition: Partition, lbp_config: LbpConfig, repair: bool
-) -> dict:
+) -> tuple[AssignmentGraph, np.ndarray]:
+    """Decode one partition; also return the rows of the pairs it owns."""
     try:
         assignment = lbp_map(partition.graph, lbp_config, repair=repair)
     except Exception as exc:  # surface the anchor with the first failure
         raise RuntimeError(f"inference failed in partition {partition.anchor}") from exc
-    label_of = assignment.label_map()
-    margin_of = {
-        pair: float(margin)
-        for pair, margin in zip(assignment.pairs, assignment.margins)
-    }
-    return {
-        "anchor": partition.anchor,
-        "labels": {pair: label_of[pair] for pair in partition.test_pairs},
-        "margins": {pair: margin_of[pair] for pair in partition.test_pairs},
-        "log_score": assignment.log_score,
-        "violations": assignment.violations,
-        "iterations": assignment.iterations,
-        "converged": assignment.converged,
-        "variables": partition.graph.num_variables,
-        "ternary_factors": partition.graph.num_ternary_factors,
-        "repaired": assignment.repaired,
-    }
+    owned = set(partition.test_pairs)
+    return assignment, np.flatnonzero([pair in owned for pair in assignment.pairs])
 
 
 def _usable_cores() -> int:
@@ -213,7 +213,9 @@ def infer_partitions_parallel(
 
     The merge collects results in partition order, so any worker count
     produces bitwise-identical output.  No more processes start than this
-    process has usable cores; with one, partitions run in-process.
+    process has usable cores; with one, partitions run in-process.  The
+    merged ``violations`` are the concept triples that a global audit of the
+    merged labels finds broken; each partition summary counts its own.
     """
     if not partitions:
         raise ConfigurationError("no partitions to infer")
@@ -236,43 +238,31 @@ def infer_partitions_parallel(
                 )
             )
 
-    merged_pairs: list[tuple[int, int]] = []
-    merged_labels: list[int] = []
-    merged_margins: list[float] = []
-    violations: list[tuple[int, int]] = []
-    summaries: list[dict] = []
-    total_score = 0.0
-    iterations = 0
-    converged = True
-    for result in results:
-        for pair in sorted(result["labels"]):
-            merged_pairs.append(pair)
-            merged_labels.append(result["labels"][pair])
-            merged_margins.append(result["margins"][pair])
-        violations.extend((result["anchor"], v) for v in result["violations"])
-        total_score += result["log_score"]
-        iterations = max(iterations, result["iterations"])
-        converged = converged and result["converged"]
-        summaries.append(
-            {
-                key: result[key]
-                for key in (
-                    "anchor", "variables", "ternary_factors", "iterations",
-                    "converged", "log_score", "repaired",
-                )
-            }
-            | {"violations": len(result["violations"])}
-        )
+    decodes = [assignment for assignment, _ in results]
     kind = partitions[0].graph.kind
-    return AssignmentGraph(
+    merged = AssignmentGraph(
         kind=kind,
-        pairs=tuple(merged_pairs),
-        labels=np.array(merged_labels, dtype=np.int64),
-        log_score=total_score,
-        violations=violations,
-        iterations=iterations,
-        converged=converged,
-        margins=np.array(merged_margins, dtype=np.float64),
-        repaired=any(r["repaired"] for r in results),
-        partition_summaries=summaries,
+        pairs=tuple(pair for part in partitions for pair in part.test_pairs),
+        labels=np.concatenate([a.labels[rows] for a, rows in results]),
+        log_score=sum(a.log_score for a in decodes),
+        violations=[],
+        iterations=max(a.iterations for a in decodes),
+        converged=all(a.converged for a in decodes),
+        margins=np.concatenate([a.margins[rows] for a, rows in results]),
+        repaired=any(a.repaired for a in decodes),
+        partition_summaries=[
+            {
+                "anchor": part.anchor,
+                "variables": part.graph.num_variables,
+                "ternary_factors": part.graph.num_ternary_factors,
+                "iterations": a.iterations,
+                "converged": a.converged,
+                "log_score": a.log_score,
+                "repaired": a.repaired,
+                "violations": len(a.violations),
+            }
+            for part, a in zip(partitions, decodes)
+        ],
     )
+    merged.violations = audit_labels(merged.label_map(), kind)[1]
+    return merged

@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InputFormatError
-from .fileio import PRIORS_HEADER, read_csv_rows, _parse_float, _parse_int
-from .model import Concept, PriorBelief, RelationshipKind, canonical_pair
+from .fileio import PRIORS_HEADER, read_csv_rows, _check_pair, _parse_float, _parse_int
+from .model import Concept, PriorBelief, RelationshipKind
 
 FEATURE_NAMES = (
     "qgram_similarity",
@@ -308,15 +308,9 @@ def load_external_priors(
         left = _parse_int(path, line, row[0], "left_id")
         right = _parse_int(path, line, row[1], "right_id")
         p_one = _parse_float(path, line, row[2], "p_one")
-        if not (0 <= left < n_concepts and 0 <= right < n_concepts):
-            raise InputFormatError(
-                path, line, f"pair ({left}, {right}) references unknown concept ids"
-            )
-        if left == right:
-            raise InputFormatError(path, line, f"self-pair ({left}, {right}) is not allowed")
+        pair = _check_pair(path, line, left, right, n_concepts, kind)
         if not 0.0 <= p_one <= 1.0 or math.isnan(p_one):
             raise InputFormatError(path, line, f"p_one must lie in [0, 1], got {p_one}")
-        pair = canonical_pair(left, right, kind)
         if pair in priors:
             raise InputFormatError(path, line, f"duplicate prior for pair {pair}")
         priors[pair] = PriorBelief(p_one)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from concord.errors import ConfigurationError
-from concord.evaluation import generate_synthetic
+from concord.evaluation import audit_labels, generate_synthetic
 from concord.graph import build_factor_graph
 from concord.inference import LbpConfig, lbp_map
 from concord import partition
@@ -33,24 +33,37 @@ def _concepts(n, names=None):
 class TestNeighbors:
     def test_trigram_embeddings_are_unit_norm(self):
         vectors = trigram_embeddings(_concepts(4, ["alpha", "alphas", "beta", "gamma"]))
-        for vec in vectors.values():
-            assert np.linalg.norm(vec) == pytest.approx(1.0)
+        assert vectors.shape[0] == 4
+        assert np.linalg.norm(vectors, axis=1) == pytest.approx(np.ones(4))
+
+    def test_embedding_rows_follow_concept_ids(self):
+        names = ["customer id", "customer key", "shipment", "warehouse"]
+        concepts = _concepts(4, names)
+        shuffled = [concepts[i] for i in (2, 0, 3, 1)]
+        assert np.array_equal(trigram_embeddings(shuffled), trigram_embeddings(concepts))
 
     def test_similar_names_rank_first(self):
         vectors = trigram_embeddings(
             _concepts(4, ["customer id", "customer key", "shipment", "warehouse"])
         )
-        assert top_k_neighbors(0, vectors, 1) == [1]
+        assert top_k_neighbors(vectors, 1)[0].tolist() == [1]
 
     def test_ties_prefer_smaller_ids(self):
-        one_hot = {i: np.eye(4)[i] for i in range(4)}
-        assert top_k_neighbors(2, one_hot, 2) == [0, 1]
-        same = {i: np.ones(3) for i in range(5)}
-        assert top_k_neighbors(3, same, 3) == [0, 1, 2]
+        assert top_k_neighbors(np.eye(4), 2)[2].tolist() == [0, 1]
+        assert top_k_neighbors(np.ones((5, 3)), 3)[3].tolist() == [0, 1, 2]
+        # A zero vector is equally dissimilar to every concept.
+        with_zero = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert top_k_neighbors(with_zero, 3).tolist()[:2] == [[3, 1, 2], [0, 2, 3]]
+        # Rounding must not split the tie among the 19 identical names.
+        names = ["lumpha jorpha quintor"] + ["lumpha jorpha"] * 19
+        vectors = trigram_embeddings(_concepts(20, names))
+        assert top_k_neighbors(vectors, 8)[0].tolist() == list(range(1, 9))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        vectors = {i: rng.normal(size=6) for i in range(10)}
+        vectors = rng.normal(size=(10, 6))
+        neighbors = top_k_neighbors(vectors, 4)
+        assert neighbors.shape == (10, 4)
         for concept in range(10):
             anchor = vectors[concept]
             def cosine(i):
@@ -60,17 +73,13 @@ class TestNeighbors:
                 (i for i in range(10) if i != concept),
                 key=lambda i: (-cosine(i), i),
             )[:4]
-            assert top_k_neighbors(concept, vectors, 4) == expected
+            assert neighbors[concept].tolist() == expected
 
     def test_k_clips_with_warning(self, caplog):
-        vectors = {i: np.ones(2) for i in range(3)}
         with caplog.at_level(logging.WARNING):
-            assert top_k_neighbors(0, vectors, 10) == [1, 2]
-        assert "clipping" in caplog.text
-
-    def test_unknown_concept(self):
-        with pytest.raises(ValueError):
-            top_k_neighbors(7, {0: np.ones(2), 1: np.ones(2)}, 1)
+            neighbors = top_k_neighbors(np.ones((3, 2)), 10)
+        assert neighbors.tolist() == [[1, 2], [0, 2], [0, 1]]
+        assert caplog.text.count("clipping") == 1
 
 
 class TestBuildPartitions:
@@ -184,8 +193,9 @@ class TestBuildPartitions:
             assert part.graph.num_ternary_factors <= 1
 
     def test_input_pairs_canonicalized(self):
+        # Both orientations of a symmetric pair name one pair.
         parts = build_partitions(
-            _concepts(3), [(1, 0)], {(1, 0): 0.8},
+            _concepts(3), [(1, 0), (0, 1)], {(1, 0): 0.8},
             TernaryPotential.default(EQ), PartitionConfig(k=1),
         )
         assert parts[0].anchor == 0
@@ -222,6 +232,12 @@ class TestBuildPartitions:
             with pytest.raises(ConfigurationError):
                 build_partitions(
                     _concepts(3), [(0, 1)], priors, TernaryPotential.default(EQ)
+                )
+        # Malformed pairs fail the same way: a self-pair, an unknown id.
+        for pairs in ([(0, 1), (2, 2)], [(0, 1), (0, 7)]):
+            with pytest.raises(ConfigurationError, match=r"^pair "):
+                build_partitions(
+                    _concepts(3), pairs, {(0, 1): 0.9}, TernaryPotential.default(EQ)
                 )
 
 
@@ -287,6 +303,14 @@ class TestMergedInference:
         direct_labels = direct.label_map()
         for pair, label in merged.label_map().items():
             assert label == direct_labels[pair]
+
+    def test_violations_are_a_global_audit(self):
+        _, parts = self._dataset_partitions()
+        merged = infer_partitions_parallel(parts, repair=True)
+        count, triples = audit_labels(merged.label_map(), EQ)
+        assert count > 0
+        assert len(merged.violations) == count
+        assert merged.violations == triples
 
     def test_repair_flag_propagates(self):
         _, parts = self._dataset_partitions()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -109,15 +109,20 @@ def top_k_neighbors(vectors: np.ndarray, k: int) -> np.ndarray:
         logger.warning("k=%d exceeds the %d available neighbors; clipping", k, n - 1)
         k = n - 1
     first: dict[bytes, int] = {}
-    shared = [first.setdefault(vec.tobytes(), i) for i, vec in enumerate(vectors)]
+    shared = np.array([first.setdefault(vec.tobytes(), i) for i, vec in enumerate(vectors)])
+    del first  # frees a byte copy of each distinct vector before the (n, n) matrix
     norms = np.linalg.norm(vectors, axis=1)
     norms[norms == 0] = 1.0  # a zero vector keeps similarity 0 to all
     negated = vectors @ vectors.T
-    negated /= np.outer(-norms, norms)
-    negated = negated[np.ix_(shared, shared)]
+    negated /= norms
+    negated /= -norms[:, None]
+    copies = np.flatnonzero(shared != np.arange(n))
+    if copies.size:
+        negated[copies] = negated[shared[copies]]
+        negated[:, copies] = negated[:, shared[copies]]
     np.fill_diagonal(negated, np.inf)  # a concept is not its own neighbor
     # A stable sort on negated similarity keeps ascending id among ties.
-    return np.argsort(negated, axis=1, kind="stable")[:, :k]
+    return np.argsort(negated, axis=1, kind="stable")[:, :k].copy()
 
 
 def _resolve_embeddings(
@@ -187,14 +192,21 @@ def build_partitions(
 
 def _solve_partition(
     partition: Partition, lbp_config: LbpConfig, repair: bool
-) -> tuple[AssignmentGraph, np.ndarray]:
-    """Decode one partition; also return the rows of the pairs it owns."""
+) -> AssignmentGraph:
+    """Decode one partition, keeping only the pairs it owns."""
     try:
         assignment = lbp_map(partition.graph, lbp_config, repair=repair)
     except Exception as exc:  # surface the anchor with the first failure
         raise RuntimeError(f"inference failed in partition {partition.anchor}") from exc
     owned = set(partition.test_pairs)
-    return assignment, np.flatnonzero([pair in owned for pair in assignment.pairs])
+    rows = np.flatnonzero([pair in owned for pair in assignment.pairs])
+    return replace(
+        assignment,
+        pairs=partition.test_pairs,
+        labels=assignment.labels[rows],
+        margins=assignment.margins[rows],
+        pre_repair=None,
+    )
 
 
 def _usable_cores() -> int:
@@ -224,11 +236,11 @@ def infer_partitions_parallel(
     lbp_config = lbp_config or LbpConfig()
     workers = min(workers, _usable_cores())
     if workers == 1:
-        results = [_solve_partition(p, lbp_config, repair) for p in partitions]
+        decodes = [_solve_partition(p, lbp_config, repair) for p in partitions]
     else:
         chunk = max(1, len(partitions) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
+            decodes = list(
                 pool.map(
                     _solve_partition,
                     partitions,
@@ -238,31 +250,30 @@ def infer_partitions_parallel(
                 )
             )
 
-    decodes = [assignment for assignment, _ in results]
     kind = partitions[0].graph.kind
-    merged = AssignmentGraph(
+    pairs = tuple(pair for part in partitions for pair in part.test_pairs)
+    labels = np.concatenate([d.labels for d in decodes])
+    return AssignmentGraph(
         kind=kind,
-        pairs=tuple(pair for part in partitions for pair in part.test_pairs),
-        labels=np.concatenate([a.labels[rows] for a, rows in results]),
-        log_score=sum(a.log_score for a in decodes),
-        violations=[],
-        iterations=max(a.iterations for a in decodes),
-        converged=all(a.converged for a in decodes),
-        margins=np.concatenate([a.margins[rows] for a, rows in results]),
-        repaired=any(a.repaired for a in decodes),
+        pairs=pairs,
+        labels=labels,
+        log_score=sum(d.log_score for d in decodes),
+        violations=audit_labels(dict(zip(pairs, labels.tolist())), kind)[1],
+        iterations=max(d.iterations for d in decodes),
+        converged=all(d.converged for d in decodes),
+        margins=np.concatenate([d.margins for d in decodes]),
+        repaired=any(d.repaired for d in decodes),
         partition_summaries=[
             {
                 "anchor": part.anchor,
                 "variables": part.graph.num_variables,
                 "ternary_factors": part.graph.num_ternary_factors,
-                "iterations": a.iterations,
-                "converged": a.converged,
-                "log_score": a.log_score,
-                "repaired": a.repaired,
-                "violations": len(a.violations),
+                "iterations": d.iterations,
+                "converged": d.converged,
+                "log_score": d.log_score,
+                "repaired": d.repaired,
+                "violations": len(d.violations),
             }
-            for part, a in zip(partitions, decodes)
+            for part, d in zip(partitions, decodes)
         ],
     )
-    merged.violations = audit_labels(merged.label_map(), kind)[1]
-    return merged

@@ -193,13 +193,15 @@ class TestBuildPartitions:
             assert part.graph.num_ternary_factors <= 1
 
     def test_input_pairs_canonicalized(self):
-        # Both orientations of a symmetric pair name one pair.
-        parts = build_partitions(
-            _concepts(3), [(1, 0), (0, 1)], {(1, 0): 0.8},
-            TernaryPotential.default(EQ), PartitionConfig(k=1),
-        )
-        assert parts[0].anchor == 0
-        assert parts[0].test_pairs == ((0, 1),)
+        # A pair given only reversed, or in both orientations, is one pair.
+        for pairs in ([(1, 0)], [(1, 0), (0, 1)]):
+            parts = build_partitions(
+                _concepts(3), pairs, {(1, 0): 0.8},
+                TernaryPotential.default(EQ), PartitionConfig(k=1),
+            )
+            assert len(parts) == 1
+            assert parts[0].anchor == 0
+            assert parts[0].test_pairs == ((0, 1),)
 
     def test_partial_embeddings_fall_back(self, caplog):
         concepts = _concepts(3)

@@ -4,8 +4,9 @@ Subcommands: infer, tune, eval, synth, train-prior, stats.  Exit codes:
 0 success, 1 usage error, 2 malformed input file, 3 runtime failure.
 Progress and warnings go to stderr; machine-readable JSON goes to stdout or
 the --output path.  Flags override values from an optional --config JSON
-file, which overrides built-in defaults; every report echoes the effective
-configuration it ran under.
+file, which overrides built-in defaults.  A config value must parse as its
+flag would (a JSON boolean for an on/off flag); every report echoes the
+effective configuration it ran under.
 """
 
 from __future__ import annotations
@@ -161,10 +162,24 @@ def _build_parser() -> _Parser:
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--temperature-grid", dest="temperature_grid",
                    help="comma-separated temperatures")
+    parser.commands = sub.choices
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> SimpleNamespace:
+def _config_value(path: str, flag: argparse.Action, value):
+    """A --config value parsed as its flag would parse it, or InputFormatError."""
+    boolean = isinstance(flag, argparse.BooleanOptionalAction)
+    if isinstance(value, bool) == boolean and isinstance(value, (str, int, float)):
+        try:
+            parsed = value if boolean else (flag.type or str)(str(value))
+            if flag.choices is None or parsed in flag.choices:
+                return parsed
+        except ValueError:
+            pass
+    raise InputFormatError(path, None, f"config key {flag.dest!r} has invalid value {value!r}")
+
+
+def _resolve(parser: _Parser, args: argparse.Namespace) -> SimpleNamespace:
     """Layer CLI flags over --config file values over built-in defaults."""
     command = args.command
     effective = dict(_COMMON_DEFAULTS) | dict(_DEFAULTS[command])
@@ -177,7 +192,11 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
             raise InputFormatError(
                 args.config, None, f"unknown config keys: {', '.join(sorted(unknown))}"
             )
-        effective.update(overrides)
+        flags = {flag.dest: flag for flag in parser.commands[command]._actions}
+        for key, value in overrides.items():
+            # null keeps an unset option unset; elsewhere it is a bad value.
+            if value is not None or effective[key] is not None:
+                effective[key] = _config_value(args.config, flags[key], value)
     for key, value in vars(args).items():
         if key in ("command", "verbose", "config"):
             continue
@@ -297,19 +316,17 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
     wall = time.perf_counter() - started
 
     # Prior map keys are canonical; dense pairs without one took the default.
-    prior_of = {pair: belief.p_one for pair, belief in prior_map.items()}
-    default_p = PriorBelief(float(cfg.default_prior)).p_one
+    default = PriorBelief(float(cfg.default_prior))
     rows = []
     flipped = 0
     for pair, label, margin in zip(assignment.pairs, assignment.labels, assignment.margins):
-        prior_p = prior_of.get(pair, default_p)
-        if int(label) != (1 if prior_p > 0.5 else 0):
-            flipped += 1
+        belief = prior_map.get(pair, default)
+        flipped += int(label) != belief.argmax
         rows.append(
             {
                 "left": pair[0],
                 "right": pair[1],
-                "prior_p": prior_p,
+                "prior_p": belief.p_one,
                 "label": int(label),
                 "margin": float(margin),
             }
@@ -519,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
-        cfg = _resolve(args)
+        cfg = _resolve(parser, args)
         return _COMMANDS[args.command](cfg)
     except _UsageError as exc:
         print(f"concord: error: {exc}", file=sys.stderr)

@@ -131,13 +131,12 @@ def build_factor_graph(
     potential: TernaryPotential,
     mode: str = "dense",
     default_prior: float = DEFAULT_PRIOR_P_ONE,
-    strict: bool = False,
 ) -> FactorGraph:
     """Assemble a factor graph over the vocabulary.
 
     dense mode creates a variable for every concept pair, falling back to
-    ``default_prior`` for pairs missing from ``priors`` (an error under
-    ``strict``).  sparse mode creates variables only for the listed pairs.
+    ``default_prior`` for pairs missing from ``priors``.  sparse mode
+    creates variables only for the listed pairs.
     """
     n = validate_vocabulary(concepts)
     kind = potential.kind
@@ -147,12 +146,6 @@ def build_factor_graph(
 
     if mode == "dense":
         pairs = all_pairs(n, kind)
-        if strict:
-            missing = [p for p in pairs if p not in canon]
-            if missing:
-                raise ConfigurationError(
-                    f"{len(missing)} pairs lack priors in strict dense mode, first: {missing[0]}"
-                )
     elif mode == "sparse":
         if not canon:
             raise ConfigurationError("sparse mode needs a non-empty prior map")

@@ -7,10 +7,13 @@ fresh batch.  New messages are damped against the old ones, max-normalized
 so the strongest component sits at 0, and the largest absolute change over
 all message components drives the convergence test.
 
-Hard zeros circulate as the finite sentinel LOG_ZERO with saturating
-addition: a sum is LOG_ZERO as soon as one addend is.  The variable-side
-update keeps this exact by accumulating a finite part and a sentinel count
-separately instead of subtracting 1e30-scale values.
+Hard zeros circulate as the finite sentinel LOG_ZERO.  The variable-side
+update adds saturatingly (a sum is LOG_ZERO as soon as one addend is) by
+counting sentinels apart from the finite part.  The factor-side update
+maxes over the table's live configurations only and adds plainly: a dead
+incoming component keeps a sum near LOG_ZERO, far below LOG_ZERO_BOUND
+(live log-potentials lie within 745 of 0, live messages within
+[-MESSAGE_SPREAD_CAP, 0]), and normalization snaps it back to LOG_ZERO.
 
 Unary factors have degree one, so their outgoing message is pinned to the
 normalized unary log-potential and is not damped; a graph without ternary
@@ -84,11 +87,6 @@ def _normalize_rows(messages: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sat_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dead = (x <= LOG_ZERO_BOUND) | (y <= LOG_ZERO_BOUND)
-    return np.where(dead, LOG_ZERO, x + y)
-
-
 def _damp(old: np.ndarray, computed: np.ndarray, damping: float) -> np.ndarray:
     """Mix old and computed messages where both are live, else jump.
 
@@ -132,18 +130,23 @@ class MessageStore:
     factor_to_var: np.ndarray  # (E, 2)
     edge_var: np.ndarray       # (E,)
     unary_message: np.ndarray  # (m, 2) normalized unary log-potentials
+    live_log: np.ndarray       # (L,) log-potentials of the live configurations
+    live_states: np.ndarray    # (L, 3) their slot states (x_ij, x_jk, x_ik)
 
     @classmethod
     def initial(cls, graph: FactorGraph) -> "MessageStore":
         m = graph.num_variables
         edges = graph.num_edges
         edge_var = np.concatenate([np.arange(m, dtype=np.int64), graph.triples.ravel()])
+        live = np.flatnonzero(graph.potential.table)
         return cls(
             graph=graph,
             var_to_factor=np.zeros((edges, 2), dtype=np.float64),
             factor_to_var=np.zeros((edges, 2), dtype=np.float64),
             edge_var=edge_var,
             unary_message=_normalize_rows(graph.unary_log.copy()),
+            live_log=graph.log_table[live],
+            live_states=(live[:, None] >> np.array([2, 1, 0])) & 1,
         )
 
 
@@ -159,34 +162,28 @@ def _variable_round(store: MessageStore) -> np.ndarray:
 
 
 def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
-    graph = store.graph
-    m = graph.num_variables
-    t = graph.num_ternary_factors
-    computed = np.empty_like(store.factor_to_var)
-    computed[:m] = store.unary_message
-    if t:
-        q = fresh_v2f[m:].reshape(t, 3, 2)
-        table = graph.log_table.reshape(2, 2, 2)
-        out = np.empty((t, 3, 2), dtype=np.float64)
-        # Each target slot maxes over the states of the other two, with the
-        # table transposed so the target axis comes first.
-        for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-            pair = _sat_add(q[:, a, :, None], q[:, b, None, :])
-            out[:, target] = _sat_add(
-                table.transpose(target, a, b)[None], pair[:, None, :, :]
-            ).max(axis=(2, 3))
-        computed[m:] = _normalize_rows(out.reshape(3 * t, 2))
-    return computed
+    """Ternary factor-to-variable messages, (3t, 2) rows in edge order."""
+    q = fresh_v2f[store.graph.num_variables:].reshape(-1, 3, 2)
+    states = store.live_states
+    out = np.empty(q.shape, dtype=np.float64)
+    # Each target slot maxes, per target state, over the live configurations
+    # with that state, scored by the incoming messages of the other two slots.
+    for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+        scores = store.live_log + (q[:, a, states[:, a]] + q[:, b, states[:, b]])
+        for state in (0, 1):
+            out[:, target, state] = scores[:, states[:, target] == state].max(axis=1)
+    return _normalize_rows(out.reshape(-1, 2))
 
 
 def jacobi_round(store: MessageStore, damping: float) -> float:
     """Run one synchronous round in place; return the max message change."""
     m = store.graph.num_variables
     fresh_v2f = _damp(store.var_to_factor, _variable_round(store), damping)
-    computed_f2v = _factor_round(store, fresh_v2f)
-    fresh_f2v = np.empty_like(computed_f2v)
-    fresh_f2v[:m] = computed_f2v[:m]  # pinned unary messages, never damped
-    fresh_f2v[m:] = _damp(store.factor_to_var[m:], computed_f2v[m:], damping)
+    # Unary messages stay pinned and are never damped.
+    fresh_f2v = np.concatenate([
+        store.unary_message,
+        _damp(store.factor_to_var[m:], _factor_round(store, fresh_v2f), damping),
+    ])
     delta = 0.0
     if store.var_to_factor.size:
         delta = float(np.abs(fresh_v2f - store.var_to_factor).max())
@@ -200,15 +197,6 @@ def _beliefs(store: MessageStore) -> np.ndarray:
     m = store.graph.num_variables
     sums, counts = _segment_saturating_sums(store.factor_to_var, store.edge_var, m)
     return np.where(counts > 0.5, LOG_ZERO, sums)
-
-
-def _check_message_sanity(store: MessageStore) -> None:
-    for name, block in (("var_to_factor", store.var_to_factor), ("factor_to_var", store.factor_to_var)):
-        if np.isnan(block).any():
-            raise AssertionError(f"{name} contains NaN")
-        peaks = block.max(axis=1)
-        if block.size and float(np.abs(peaks).max()) != 0.0:
-            raise AssertionError(f"{name} has a row whose max component is not 0")
 
 
 def configuration_codes(labels: np.ndarray, triples: np.ndarray) -> np.ndarray:
@@ -298,8 +286,6 @@ def lbp_map(
     graph: FactorGraph,
     config: LbpConfig | None = None,
     repair: bool = False,
-    repair_budget: int | None = None,
-    check_messages: bool = False,
 ) -> AssignmentGraph:
     """Decode an approximate MAP assignment with loopy max-product."""
     config = config or LbpConfig()
@@ -309,8 +295,6 @@ def lbp_map(
     for iteration in range(1, config.max_iterations + 1):
         delta = jacobi_round(store, config.damping)
         iterations = iteration
-        if check_messages:
-            _check_message_sanity(store)
         if config.tolerance > 0.0 and delta < config.tolerance:
             converged = True
             break
@@ -330,7 +314,7 @@ def lbp_map(
         margins=margins,
     )
     if repair and violations:
-        repaired_labels, flips = greedy_repair(graph, labels, margins, repair_budget)
+        repaired_labels, flips = greedy_repair(graph, labels, margins)
         assignment.pre_repair = {
             "log_score": score,
             "violations": len(violations),
@@ -343,17 +327,17 @@ def lbp_map(
     return assignment
 
 
-def exact_map_oracle(graph: FactorGraph, max_variables: int = ORACLE_VARIABLE_CAP) -> AssignmentGraph:
+def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
     """Exhaustive MAP over all 2^m assignments.
 
     Tie scores resolve to the lexicographically smallest label vector, which
     the enumeration order makes automatic.  Refuses graphs beyond
-    ``max_variables`` variables.
+    ORACLE_VARIABLE_CAP variables.
     """
     m = graph.num_variables
-    if m > max_variables:
+    if m > ORACLE_VARIABLE_CAP:
         raise ConfigurationError(
-            f"exact oracle supports at most {max_variables} variables, got {m}"
+            f"exact oracle supports at most {ORACLE_VARIABLE_CAP} variables, got {m}"
         )
     u0 = graph.unary_log[:, 0]
     gain = graph.unary_log[:, 1] - u0

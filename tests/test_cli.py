@@ -83,6 +83,34 @@ class TestConfigFile:
         assert main(["train-prior", "--config", str(cfg)]) == 2
         assert main(["infer", "--seed", "3"]) == 1  # no such flag
 
+    @pytest.mark.parametrize("override", [
+        {"repair": "false"},   # bool("false") is True
+        {"tolerance": "abc"},
+        {"workers": 2.9},      # int() would truncate it
+        {"relationship": "sibling"},
+        {"k": None},
+    ])
+    def test_bad_value_is_input_error(self, tmp_path, capsys, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        assert main([
+            "infer", "--config", str(cfg),
+            "--concepts", str(DEMO / "concepts.csv"), "--priors", str(DEMO / "priors.csv"),
+        ]) == 2
+        assert repr(next(iter(override))) in capsys.readouterr().err
+
+    def test_values_echo_as_they_ran(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"damping": 0, "max_iters": "50", "repair": True}))
+        code, report = run(
+            capsys, "infer", "--config", str(cfg),
+            "--concepts", str(DEMO / "concepts.csv"), "--priors", str(DEMO / "priors.csv"),
+        )
+        assert code == 0
+        echoed = report["config"]
+        assert (echoed["damping"], echoed["max_iters"], echoed["repair"]) == (0.0, 50, True)
+        assert isinstance(echoed["damping"], float)
+
 
 class TestInferDense:
     def test_reproduces_golden_assignment(self, capsys):

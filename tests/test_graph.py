@@ -201,13 +201,6 @@ class TestValidation:
                 _concepts(3), {(0, 7): 0.9}, TernaryPotential.default(EQ)
             )
 
-    def test_strict_dense_requires_full_coverage(self):
-        with pytest.raises(ConfigurationError, match="lack priors"):
-            build_factor_graph(
-                _concepts(3), {(0, 1): 0.9}, TernaryPotential.default(EQ),
-                mode="dense", strict=True,
-            )
-
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             build_factor_graph(

@@ -129,6 +129,16 @@ def factor_to_variable_message(store, factor, variable):
     return _normalize_rows(out[None, :])[0]
 
 
+def check_message_sanity(store):
+    """Every row peaks at exactly 0; every component is LOG_ZERO or in
+    [-MESSAGE_SPREAD_CAP, 0]."""
+    for name, block in (("var_to_factor", store.var_to_factor), ("factor_to_var", store.factor_to_var)):
+        assert not np.isnan(block).any(), f"{name} contains NaN"
+        assert (block.max(axis=1) == 0.0).all(), f"{name} has a row whose max component is not 0"
+        live = (block >= -MESSAGE_SPREAD_CAP) & (block <= 0.0)
+        assert (live | (block == LOG_ZERO)).all(), f"{name} has a component off LOG_ZERO and [-cap, 0]"
+
+
 class TestNormalization:
     def test_peak_moves_to_zero(self):
         out = _normalize_rows(np.array([[1.0, 3.0], [-2.0, -5.0]]))
@@ -186,13 +196,18 @@ class TestMessagePrimitives:
         # After 1-5 damped rounds, both batch updates agree with the scalar
         # reference on every edge.  Summation order differs, so not bitwise.
         rng = np.random.default_rng(7)
-        for kind, pairs in (
-            (EQ, itertools.combinations(range(7), 2)),
-            (PC, itertools.permutations(range(5), 2)),
-        ):
+        tables = [
+            (EQ, itertools.combinations(range(7), 2), None),
+            (PC, itertools.permutations(range(5), 2), None),
+            # Log-potentials near +-690 next to the sentinel.
+            (EQ, itertools.combinations(range(7), 2), (1e-300, 1e300, 1e-150, 1e150, 1.0)),
+        ]
+        for kind, pairs, weights in tables:
             priors = {pair: float(rng.uniform(0.05, 0.95)) for pair in pairs}
-            weights = (1.0, *(float(rng.uniform(0.05, 1.0)) for _ in range(kind.num_weights - 1)))
+            if weights is None:
+                weights = (1.0, *(float(rng.uniform(0.05, 1.0)) for _ in range(kind.num_weights - 1)))
             graph = _graph(priors, kind=kind, weights=weights, mode="dense")
+            m = graph.num_variables
             edges = [
                 (int(var), edge_factor(graph, e))
                 for e, var in enumerate(MessageStore.initial(graph).edge_var)
@@ -201,8 +216,9 @@ class TestMessagePrimitives:
                 store = MessageStore.initial(graph)
                 for _ in range(rounds):
                     jacobi_round(store, damping=0.5)
+                np.testing.assert_array_equal(store.factor_to_var[:m], store.unary_message)
                 # Finite priors never produce hard zeros here, so plant some
-                # to exercise the saturating arithmetic.
+                # to exercise the sentinel arithmetic.
                 for block in (store.var_to_factor, store.factor_to_var):
                     rows = rng.choice(len(block), size=len(block) // 8, replace=False)
                     block[rows, rng.integers(0, 2, size=rows.size)] = LOG_ZERO
@@ -211,7 +227,7 @@ class TestMessagePrimitives:
                 ])
                 np.testing.assert_allclose(_variable_round(store), expected, rtol=0, atol=1e-12)
                 expected = np.stack([
-                    factor_to_variable_message(store, factor, var) for var, factor in edges
+                    factor_to_variable_message(store, factor, var) for var, factor in edges[m:]
                 ])
                 np.testing.assert_allclose(
                     _factor_round(store, store.var_to_factor), expected, rtol=0, atol=1e-12
@@ -244,7 +260,15 @@ class TestDecoding:
     def test_conflict_instance_matches_oracle(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
         oracle = exact_map_oracle(graph)
-        decoded = lbp_map(graph, LbpConfig(), check_messages=True)
+        config = LbpConfig()
+        store = MessageStore.initial(graph)
+        for rounds in range(1, config.max_iterations + 1):
+            delta = jacobi_round(store, config.damping)
+            check_message_sanity(store)
+            if delta < config.tolerance:
+                break
+        decoded = lbp_map(graph, config)
+        assert decoded.iterations == rounds
         assert oracle.labels.tolist() == [0, 0, 0]
         assert decoded.labels.tolist() == [0, 0, 0]
         assert decoded.converged

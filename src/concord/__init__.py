@@ -5,7 +5,7 @@ concepts are modeled as binary variables in a factor graph whose ternary
 potentials reward transitive-consistent labelings.  Pairwise priors come
 from calibrated string features or external scores; decoding runs
 max-product belief propagation, exactly on small graphs, partitioned and
-in parallel on large ones.
+batched into one message store on large ones.
 """
 
 from .errors import ConfigurationError, InputFormatError
@@ -25,6 +25,7 @@ from .inference import (
     greedy_repair,
     joint_log_score,
     lbp_map,
+    lbp_map_batch,
     prior_flips,
     violated_cliques,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "infer_partitions_parallel",
     "joint_log_score",
     "lbp_map",
+    "lbp_map_batch",
     "load_external_priors",
     "predict_prior",
     "prf1",

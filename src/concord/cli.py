@@ -56,7 +56,7 @@ _DEFAULTS: dict[str, dict] = {
     "infer": {
         "concepts": None, "priors": None, "prior_model": None, "pairs": None,
         "embeddings": None, "relationship": "equivalence", "mode": "dense",
-        "k": 8, "workers": 1, "damping": 0.5, "max_iters": 200,
+        "k": 8, "damping": 0.5, "max_iters": 200,
         "tolerance": 1e-6, "repair": False, "default_prior": 0.01,
         "weights": None,
     },
@@ -107,8 +107,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--relationship", choices=["equivalence", "parent-child"])
     p.add_argument("--mode", choices=["dense", "partitioned"])
     p.add_argument("--k", type=int, help="neighbors per anchor in partitioned mode")
-    p.add_argument("--workers", type=int,
-                   help="processes in partitioned mode, capped at usable cores")
     p.add_argument("--damping", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tolerance", type=float)
@@ -303,15 +301,13 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
             embeddings=fileio.load_embeddings(cfg.embeddings) if cfg.embeddings else None,
         )
         logger.info("built %d partitions", len(partitions))
-        assignment = infer_partitions_parallel(
-            partitions, lbp, workers=int(cfg.workers), repair=bool(cfg.repair)
-        )
+        assignment = infer_partitions_parallel(partitions, lbp, repair=bool(cfg.repair))
+        summaries = assignment.partition_summaries
         structure = {
             "partitions": len(partitions),
-            "variables": sum(s["variables"] for s in assignment.partition_summaries),
-            "ternary_factors": sum(
-                s["ternary_factors"] for s in assignment.partition_summaries
-            ),
+            "variables": sum(s["variables"] for s in summaries),
+            "ternary_factors": sum(s["ternary_factors"] for s in summaries),
+            "capped_partitions": sum(not s["converged"] for s in summaries),
         }
     wall = time.perf_counter() - started
 
@@ -348,10 +344,10 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
             "log_score": assignment.pre_repair["log_score"],
             "violations": assignment.pre_repair["violations"],
         }
-    fileio.dump_json(
-        {"config": _config_echo(cfg), "summary": summary, "assignments": rows},
-        cfg.output,
-    )
+    echo = _config_echo(cfg)
+    if cfg.mode == "dense":
+        del echo["k"]  # only partitioning reads it
+    fileio.dump_json({"config": echo, "summary": summary, "assignments": rows}, cfg.output)
     return 0
 
 

@@ -18,12 +18,21 @@ incoming component keeps a sum near LOG_ZERO, far below LOG_ZERO_BOUND
 Unary factors have degree one, so their outgoing message is pinned to the
 normalized unary log-potential and is not damped; a graph without ternary
 factors therefore converges in two rounds to the prior argmax.
+
+Several graphs under one potential decode as a batch: one message store
+holds their disjoint union, and each round runs the same kernels over all
+of it.  Every step is row-wise except the variable-side sums, which add
+each variable's edges in the same order as a store of its graph alone, so
+each graph's messages match a lone decode bit for bit.  After a round each
+graph takes its own delta; a graph that converged or reached the round cap
+is frozen, its beliefs read off, and the store shrinks to the graphs still
+running.  A single graph is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -118,14 +127,18 @@ def _segment_saturating_sums(
 
 @dataclass
 class MessageStore:
-    """Message state for one graph.
+    """Message state over the variables and ternary cliques of one or more graphs.
 
     Edges are laid out unary-first: edge e < m is the unary edge of variable
     e; edges m + 3f + s belong to ternary factor f, slot s, where slots
-    follow the clique order (x_ij, x_jk, x_ik).
+    follow the clique order (x_ij, x_jk, x_ik).  A store over several graphs
+    holds their disjoint union: each graph's variable and clique ids are
+    offset past those of the graphs before it, so every variable meets its
+    edges in the same order as in a store of its own graph, and each
+    graph's messages evolve bit for bit as they would alone.  All graphs of
+    a store share one potential.
     """
 
-    graph: FactorGraph
     var_to_factor: np.ndarray  # (E, 2)
     factor_to_var: np.ndarray  # (E, 2)
     edge_var: np.ndarray       # (E,)
@@ -133,25 +146,46 @@ class MessageStore:
     live_log: np.ndarray       # (L,) log-potentials of the live configurations
     live_states: np.ndarray    # (L, 3) their slot states (x_ij, x_jk, x_ik)
 
+    @property
+    def num_variables(self) -> int:
+        return len(self.unary_message)
+
     @classmethod
-    def initial(cls, graph: FactorGraph) -> "MessageStore":
-        m = graph.num_variables
-        edges = graph.num_edges
-        edge_var = np.concatenate([np.arange(m, dtype=np.int64), graph.triples.ravel()])
-        live = np.flatnonzero(graph.potential.table)
+    def initial(cls, *graphs: FactorGraph) -> "MessageStore":
+        sizes = [g.num_variables for g in graphs]
+        offsets = np.cumsum([0, *sizes[:-1]])
+        m = sum(sizes)
+        triples = np.concatenate([g.triples + o for g, o in zip(graphs, offsets)])
+        edges = m + triples.size
+        live = np.flatnonzero(graphs[0].potential.table)
         return cls(
-            graph=graph,
             var_to_factor=np.zeros((edges, 2), dtype=np.float64),
             factor_to_var=np.zeros((edges, 2), dtype=np.float64),
-            edge_var=edge_var,
-            unary_message=_normalize_rows(graph.unary_log.copy()),
-            live_log=graph.log_table[live],
+            edge_var=np.concatenate([np.arange(m, dtype=np.int64), triples.ravel()]),
+            unary_message=_normalize_rows(np.concatenate([g.unary_log for g in graphs])),
+            live_log=graphs[0].log_table[live],
             live_states=(live[:, None] >> np.array([2, 1, 0])) & 1,
+        )
+
+    def take(self, variables: np.ndarray, factors: np.ndarray) -> "MessageStore":
+        """The store restricted to the masked variables and ternary factors.
+
+        Kept variables are renumbered in order; each kept factor must touch
+        kept variables only.
+        """
+        edges = np.concatenate([variables, np.repeat(factors, 3)])
+        renumbered = np.cumsum(variables) - 1
+        return replace(
+            self,
+            var_to_factor=self.var_to_factor[edges],
+            factor_to_var=self.factor_to_var[edges],
+            edge_var=renumbered[self.edge_var[edges]],
+            unary_message=self.unary_message[variables],
         )
 
 
 def _variable_round(store: MessageStore) -> np.ndarray:
-    m = store.graph.num_variables
+    m = store.num_variables
     sums, counts = _segment_saturating_sums(store.factor_to_var, store.edge_var, m)
     dead = store.factor_to_var <= LOG_ZERO_BOUND
     finite = np.where(dead, 0.0, store.factor_to_var)
@@ -163,7 +197,7 @@ def _variable_round(store: MessageStore) -> np.ndarray:
 
 def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
     """Ternary factor-to-variable messages, (3t, 2) rows in edge order."""
-    q = fresh_v2f[store.graph.num_variables:].reshape(-1, 3, 2)
+    q = fresh_v2f[store.num_variables:].reshape(-1, 3, 2)
     states = store.live_states
     out = np.empty(q.shape, dtype=np.float64)
     # Each target slot maxes, per target state, over the live configurations
@@ -175,27 +209,40 @@ def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
     return _normalize_rows(out.reshape(-1, 2))
 
 
-def jacobi_round(store: MessageStore, damping: float) -> float:
-    """Run one synchronous round in place; return the max message change."""
-    m = store.graph.num_variables
+def jacobi_round(store: MessageStore, damping: float) -> np.ndarray:
+    """Run one synchronous round in place; return each edge's change.
+
+    An edge's change is the largest absolute move of any component of its
+    two messages, so a graph's convergence delta is the max over its edges.
+    """
+    m = store.num_variables
     fresh_v2f = _damp(store.var_to_factor, _variable_round(store), damping)
     # Unary messages stay pinned and are never damped.
     fresh_f2v = np.concatenate([
         store.unary_message,
         _damp(store.factor_to_var[m:], _factor_round(store, fresh_v2f), damping),
     ])
-    delta = 0.0
-    if store.var_to_factor.size:
-        delta = float(np.abs(fresh_v2f - store.var_to_factor).max())
-        delta = max(delta, float(np.abs(fresh_f2v - store.factor_to_var).max()))
+    moved = np.abs(fresh_v2f - store.var_to_factor)
+    np.maximum(moved, np.abs(fresh_f2v - store.factor_to_var), out=moved)
     store.var_to_factor = fresh_v2f
     store.factor_to_var = fresh_f2v
-    return delta
+    return np.maximum(moved[:, 0], moved[:, 1])
+
+
+def _run_maxima(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Max of each consecutive run of ``lengths[i]`` values; 0 for an empty run."""
+    out = np.zeros(len(lengths))
+    nonempty = lengths > 0
+    if nonempty.any():
+        starts = np.cumsum(lengths) - lengths
+        out[nonempty] = np.maximum.reduceat(values, starts[nonempty])
+    return out
 
 
 def _beliefs(store: MessageStore) -> np.ndarray:
-    m = store.graph.num_variables
-    sums, counts = _segment_saturating_sums(store.factor_to_var, store.edge_var, m)
+    sums, counts = _segment_saturating_sums(
+        store.factor_to_var, store.edge_var, store.num_variables
+    )
     return np.where(counts > 0.5, LOG_ZERO, sums)
 
 
@@ -282,25 +329,85 @@ def greedy_repair(
     raise RuntimeError("repair failed to terminate")  # unreachable by construction
 
 
+@dataclass(frozen=True)
+class Beliefs:
+    """A graph's max-marginal log beliefs where its message rounds stopped."""
+
+    values: np.ndarray  # (m, 2)
+    iterations: int
+    converged: bool
+
+
+def max_product_rounds(
+    graphs: Sequence[FactorGraph], config: LbpConfig | None = None
+) -> list[Beliefs]:
+    """Run message rounds on several graphs in one store over their union.
+
+    The graphs must share one potential.  After each round every graph
+    takes its own delta, the largest change over its edges; a graph whose
+    delta fell below the tolerance, or that reached the round cap, is
+    frozen: its beliefs are read off and its rows leave the store.  Each
+    graph's beliefs, round count and convergence flag are bitwise those of
+    running it alone.
+    """
+    config = config or LbpConfig()
+    if not graphs:
+        raise ConfigurationError("no graphs to decode")
+    for index, graph in enumerate(graphs):
+        if graph.potential != graphs[0].potential:
+            raise ConfigurationError(
+                f"graph {index} has a different potential from graph 0; "
+                "a batch decodes under one shared potential"
+            )
+    store = MessageStore.initial(*graphs)
+    # Per graph still in the store, in store order: its index, variables
+    # and ternary factors.
+    active = np.arange(len(graphs))
+    variables = np.array([g.num_variables for g in graphs])
+    factors = np.array([g.num_ternary_factors for g in graphs])
+    out: list[Beliefs | None] = [None] * len(graphs)
+    for iteration in range(1, config.max_iterations + 1):
+        change = jacobi_round(store, config.damping)
+        m = store.num_variables
+        delta = np.maximum(
+            _run_maxima(change[:m], variables), _run_maxima(change[m:], 3 * factors)
+        )
+        converged = delta < config.tolerance  # never, at tolerance 0
+        frozen = converged | (iteration == config.max_iterations)
+        if not frozen.any():
+            continue
+        beliefs = _beliefs(store)
+        starts = np.cumsum(variables) - variables
+        for local in np.flatnonzero(frozen):
+            rows = slice(starts[local], starts[local] + variables[local])
+            out[active[local]] = Beliefs(
+                beliefs[rows].copy(), iteration, bool(converged[local])
+            )
+        if frozen.all():
+            break
+        kept = ~frozen
+        store = store.take(np.repeat(kept, variables), np.repeat(kept, factors))
+        active, variables, factors = active[kept], variables[kept], factors[kept]
+    return out
+
+
 def lbp_map(
     graph: FactorGraph,
     config: LbpConfig | None = None,
     repair: bool = False,
+    beliefs: Beliefs | None = None,
 ) -> AssignmentGraph:
-    """Decode an approximate MAP assignment with loopy max-product."""
-    config = config or LbpConfig()
-    store = MessageStore.initial(graph)
-    iterations = 0
-    converged = False
-    for iteration in range(1, config.max_iterations + 1):
-        delta = jacobi_round(store, config.damping)
-        iterations = iteration
-        if config.tolerance > 0.0 and delta < config.tolerance:
-            converged = True
-            break
-    beliefs = _beliefs(store)
-    labels = (beliefs[:, 1] > beliefs[:, 0]).astype(np.int64)
-    margins = np.clip(beliefs[:, 1] - beliefs[:, 0], -abs(LOG_ZERO), abs(LOG_ZERO))
+    """Decode an approximate MAP assignment with loopy max-product.
+
+    ``beliefs`` hands over the outcome of rounds already run on this graph
+    by ``max_product_rounds``, which leaves only the read-out: labels,
+    margins, score, audit and optional repair.  ``config`` is then unused.
+    """
+    if beliefs is None:
+        [beliefs] = max_product_rounds([graph], config)
+    values = beliefs.values
+    labels = (values[:, 1] > values[:, 0]).astype(np.int64)
+    margins = np.clip(values[:, 1] - values[:, 0], -abs(LOG_ZERO), abs(LOG_ZERO))
     score = joint_log_score(graph, labels)
     violations = violated_cliques(graph, labels)
     assignment = AssignmentGraph(
@@ -309,8 +416,8 @@ def lbp_map(
         labels=labels,
         log_score=score,
         violations=violations,
-        iterations=iterations,
-        converged=converged,
+        iterations=beliefs.iterations,
+        converged=beliefs.converged,
         margins=margins,
     )
     if repair and violations:
@@ -325,6 +432,18 @@ def lbp_map(
         assignment.violations = violated_cliques(graph, repaired_labels)
         assignment.repaired = True
     return assignment
+
+
+def lbp_map_batch(
+    graphs: Sequence[FactorGraph],
+    config: LbpConfig | None = None,
+    repair: bool = False,
+) -> list[AssignmentGraph]:
+    """``lbp_map`` of each graph, bitwise, from one batched store of rounds."""
+    return [
+        lbp_map(graph, repair=repair, beliefs=beliefs)
+        for graph, beliefs in zip(graphs, max_product_rounds(graphs, config))
+    ]
 
 
 def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:

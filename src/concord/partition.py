@@ -8,14 +8,14 @@ what turn two anchored pairs into a ternary clique, and the top-k cut keeps
 every local graph a constant size in k.  An anchor with a single pair, or
 whose counterparts are mutually dissimilar, stays a unary-only problem and
 decodes straight from its priors.  A pair is decided only by its anchor's
-partition, so results are independent of worker count and merge order.
+partition, and all partitions decode together in one message store over
+their disjoint union, each frozen at its own convergence round, so every
+partition's result is bitwise that of decoding it alone.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .graph import (
     canonical_priors,
     checked_pair,
 )
-from .inference import LbpConfig, lbp_map
+from .inference import Beliefs, LbpConfig, lbp_map, max_product_rounds
 from .model import (
     AssignmentGraph,
     Concept,
@@ -191,11 +191,11 @@ def build_partitions(
 
 
 def _solve_partition(
-    partition: Partition, lbp_config: LbpConfig, repair: bool
+    partition: Partition, beliefs: Beliefs, repair: bool
 ) -> AssignmentGraph:
-    """Decode one partition, keeping only the pairs it owns."""
+    """Read out one partition's decode, keeping only the pairs it owns."""
     try:
-        assignment = lbp_map(partition.graph, lbp_config, repair=repair)
+        assignment = lbp_map(partition.graph, repair=repair, beliefs=beliefs)
     except Exception as exc:  # surface the anchor with the first failure
         raise RuntimeError(f"inference failed in partition {partition.anchor}") from exc
     owned = set(partition.test_pairs)
@@ -209,46 +209,27 @@ def _solve_partition(
     )
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):  # not every platform has affinity
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def infer_partitions_parallel(
     partitions: Sequence[Partition],
     lbp_config: LbpConfig | None = None,
     workers: int = 1,
     repair: bool = False,
 ) -> AssignmentGraph:
-    """Run every partition and merge anchor-owned labels.
+    """Decode every partition in one batch and merge anchor-owned labels.
 
-    The merge collects results in partition order, so any worker count
-    produces bitwise-identical output.  No more processes start than this
-    process has usable cores; with one, partitions run in-process.  The
-    merged ``violations`` are the concept triples that a global audit of the
-    merged labels finds broken; each partition summary counts its own.
+    All partitions run their message rounds together in one process, so no
+    process pool starts; ``workers`` is validated but otherwise unread.
+    Each partition's labels, margins and counts are bitwise those of
+    decoding it alone.  The merged ``violations`` are the concept triples
+    that a global audit of the merged labels finds broken; each partition
+    summary counts its own.
     """
     if not partitions:
         raise ConfigurationError("no partitions to infer")
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
-    lbp_config = lbp_config or LbpConfig()
-    workers = min(workers, _usable_cores())
-    if workers == 1:
-        decodes = [_solve_partition(p, lbp_config, repair) for p in partitions]
-    else:
-        chunk = max(1, len(partitions) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            decodes = list(
-                pool.map(
-                    _solve_partition,
-                    partitions,
-                    [lbp_config] * len(partitions),
-                    [repair] * len(partitions),
-                    chunksize=chunk,
-                )
-            )
+    beliefs = max_product_rounds([p.graph for p in partitions], lbp_config)
+    decodes = [_solve_partition(p, b, repair) for p, b in zip(partitions, beliefs)]
 
     kind = partitions[0].graph.kind
     pairs = tuple(pair for part in partitions for pair in part.test_pairs)

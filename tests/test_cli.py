@@ -86,7 +86,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("override", [
         {"repair": "false"},   # bool("false") is True
         {"tolerance": "abc"},
-        {"workers": 2.9},      # int() would truncate it
+        {"k": 2.9},            # int() would truncate it
         {"relationship": "sibling"},
         {"k": None},
     ])
@@ -110,6 +110,7 @@ class TestConfigFile:
         echoed = report["config"]
         assert (echoed["damping"], echoed["max_iters"], echoed["repair"]) == (0.0, 50, True)
         assert isinstance(echoed["damping"], float)
+        assert "k" not in echoed  # a dense run reads no neighbour count
 
 
 class TestInferDense:
@@ -213,20 +214,27 @@ class TestSynth:
 
 
 class TestInferPartitioned:
-    def test_worker_count_changes_nothing_but_wall_time(self, synth_dir, capsys):
+    def test_workers_is_no_option(self, tmp_path):
+        # Partitions decode in one batch in one process.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert main(["infer", "--config", str(cfg)]) == 2
+        assert main(["infer", "--workers", "2"]) == 1  # no such flag
+
+    def test_capped_partitions_counted(self, synth_dir, capsys):
         base = [
             "infer", "--concepts", str(synth_dir / "concepts.csv"),
             "--priors", str(synth_dir / "priors.csv"),
             "--mode", "partitioned", "--k", "3",
         ]
-        code1, rep1 = run(capsys, *base, "--workers", "1")
-        code2, rep2 = run(capsys, *base, "--workers", "2")
-        assert code1 == code2 == 0
-        assert rep1["assignments"] == rep2["assignments"]
-        for rep in (rep1, rep2):
-            rep["summary"].pop("wall_time_s")
-            rep["config"].pop("workers")
-        assert rep1["summary"] == rep2["summary"]
+        code, report = run(capsys, *base, "--max-iters", "3", "--tolerance", "0")
+        assert code == 0
+        assert report["summary"]["capped_partitions"] == report["summary"]["partitions"]
+        code, report = run(capsys, *base)
+        assert code == 0
+        # Unary-only partitions converge in two rounds.
+        assert 0 <= report["summary"]["capped_partitions"] < report["summary"]["partitions"]
+        assert report["summary"]["converged"] == (report["summary"]["capped_partitions"] == 0)
 
     def test_partition_structure_reported(self, synth_dir, capsys):
         code, report = run(
@@ -236,6 +244,7 @@ class TestInferPartitioned:
         )
         assert code == 0
         assert report["summary"]["partitions"] > 0
+        assert report["config"]["k"] == 2
         assert report["summary"]["variables"] >= len(report["assignments"])
 
 

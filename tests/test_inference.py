@@ -1,10 +1,12 @@
 """Max-product message passing, decoding, scoring, repair, exact oracle."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concord.errors import ConfigurationError
 from concord.graph import build_factor_graph
@@ -21,12 +23,14 @@ from concord.inference import (
     jacobi_round,
     joint_log_score,
     lbp_map,
+    lbp_map_batch,
     prior_flips,
     violated_cliques,
 )
 from concord.model import (
     LOG_ZERO,
     LOG_ZERO_BOUND,
+    AssignmentGraph,
     Concept,
     RelationshipKind,
     TernaryPotential,
@@ -84,23 +88,22 @@ def edge_factor(graph, edge):
     return edge if edge < m else m + (edge - m) // 3
 
 
-def variable_to_factor_message(store, variable, factor):
+def variable_to_factor_message(graph, store, variable, factor):
     """Product (log-sum) of incoming factor messages, excluding the target."""
     total = np.zeros(2, dtype=np.float64)
     dead = np.zeros(2, dtype=bool)
-    for w in incident_factors(store.graph, variable):
+    for w in incident_factors(graph, variable):
         if w == factor:
             continue
-        incoming = store.factor_to_var[edge_id(store.graph, variable, w)]
+        incoming = store.factor_to_var[edge_id(graph, variable, w)]
         dead |= incoming <= LOG_ZERO_BOUND
         total += np.where(incoming <= LOG_ZERO_BOUND, 0.0, incoming)
     message = np.where(dead, LOG_ZERO, total)
     return _normalize_rows(message[None, :])[0]
 
 
-def factor_to_variable_message(store, factor, variable):
+def factor_to_variable_message(graph, store, factor, variable):
     """Max over the factor's configurations consistent with each target state."""
-    graph = store.graph
     m = graph.num_variables
     if factor < m:
         assert factor == variable, f"unary factor {factor} is not incident to variable {variable}"
@@ -175,7 +178,7 @@ class TestMessagePrimitives:
         assert incident_factors(graph, 0) == [0, m + 0, m + 1]
         store.factor_to_var[edge_id(graph, 0, 0)] = [0.0, -2.0]
         store.factor_to_var[edge_id(graph, 0, m + 0)] = [-1.0, 0.0]
-        out = variable_to_factor_message(store, 0, m + 1)
+        out = variable_to_factor_message(graph, store, 0, m + 1)
         assert out.tolist() == [0.0, -1.0]
 
     def test_factor_message_inherits_hard_zeros(self):
@@ -188,7 +191,7 @@ class TestMessagePrimitives:
         store.var_to_factor[m + 0] = pinned
         store.var_to_factor[m + 1] = pinned
         target = int(graph.triples[0][2])
-        out = factor_to_variable_message(store, m, target)
+        out = factor_to_variable_message(graph, store, m, target)
         assert out[0] <= LOG_ZERO_BOUND
         assert out[1] == 0.0
 
@@ -223,11 +226,11 @@ class TestMessagePrimitives:
                     rows = rng.choice(len(block), size=len(block) // 8, replace=False)
                     block[rows, rng.integers(0, 2, size=rows.size)] = LOG_ZERO
                 expected = np.stack([
-                    variable_to_factor_message(store, var, factor) for var, factor in edges
+                    variable_to_factor_message(graph, store, var, factor) for var, factor in edges
                 ])
                 np.testing.assert_allclose(_variable_round(store), expected, rtol=0, atol=1e-12)
                 expected = np.stack([
-                    factor_to_variable_message(store, factor, var) for var, factor in edges[m:]
+                    factor_to_variable_message(graph, store, factor, var) for var, factor in edges[m:]
                 ])
                 np.testing.assert_allclose(
                     _factor_round(store, store.var_to_factor), expected, rtol=0, atol=1e-12
@@ -263,7 +266,7 @@ class TestDecoding:
         config = LbpConfig()
         store = MessageStore.initial(graph)
         for rounds in range(1, config.max_iterations + 1):
-            delta = jacobi_round(store, config.damping)
+            delta = jacobi_round(store, config.damping).max()
             check_message_sanity(store)
             if delta < config.tolerance:
                 break
@@ -436,6 +439,94 @@ class TestRepair:
                 found = True
                 break
         assert found, "no violated decode found to exercise repair"
+
+
+def _random_graph(rng, kind, potential, shape):
+    """A small graph: unary-only (disjoint pairs), dense, or a sparse subset."""
+    if shape == "unary":
+        size = int(rng.integers(1, 4))
+        pairs = [(2 * i, 2 * i + 1) for i in range(size)]
+        n = 2 * size
+    else:
+        n = int(rng.integers(3, 6))
+        every = list(
+            itertools.combinations(range(n), 2) if kind.symmetric
+            else itertools.permutations(range(n), 2)
+        )
+        keep = rng.random(len(every)) < (1.0 if shape == "dense" else 0.6)
+        pairs = [pair for pair, kept in zip(every, keep) if kept] or every[:1]
+    priors = {pair: float(rng.uniform(0.02, 0.98)) for pair in pairs}
+    return build_factor_graph(_concepts(n), priors, potential, mode="sparse")
+
+
+def _random_potential(rng, kind):
+    if rng.random() < 0.5:
+        return TernaryPotential.default(kind)
+    return TernaryPotential.from_weights(
+        kind, (1.0, *(float(rng.uniform(0.05, 1.0)) for _ in range(kind.num_weights - 1)))
+    )
+
+
+def _assert_bitwise_equal(batched, alone):
+    for field in dataclasses.fields(AssignmentGraph):
+        got, want = getattr(batched, field.name), getattr(alone, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
+class TestBatchedDecoding:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_batch_equals_each_graph_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        kind = (EQ, PC)[int(rng.integers(2))]
+        potential = _random_potential(rng, kind)
+        # A unary-only graph always sits next to a dense one: an empty run
+        # of cliques between full ones is where a naive segment max breaks.
+        shapes = ["unary", "dense", *rng.choice(["unary", "dense", "sparse"], size=rng.integers(0, 5))]
+        rng.shuffle(shapes)
+        graphs = [_random_graph(rng, kind, potential, shape) for shape in shapes]
+        config = LbpConfig(
+            max_iterations=int(rng.choice([1, 2, 7, 200])),
+            damping=float(rng.choice([0.0, 0.5])),
+            tolerance=float(rng.choice([0.0, 1e-6, 1e-2])),
+        )
+        repair = bool(rng.integers(2))
+        for batched, graph in zip(lbp_map_batch(graphs, config, repair), graphs, strict=True):
+            _assert_bitwise_equal(batched, lbp_map(graph, config, repair))
+
+    def test_batch_repairs_like_each_graph_alone(self):
+        # One round leaves dense graphs violated; repair runs per graph.
+        rng = np.random.default_rng(23)
+        potential = TernaryPotential.default(EQ)
+        graphs = [_random_graph(rng, EQ, potential, shape) for shape in ["dense"] * 12 + ["unary"]]
+        config = LbpConfig(max_iterations=1, tolerance=0.0)
+        batched = lbp_map_batch(graphs, config, repair=True)
+        assert any(result.pre_repair for result in batched), "no violated decode planted"
+        for result, graph in zip(batched, graphs, strict=True):
+            _assert_bitwise_equal(result, lbp_map(graph, config, repair=True))
+            assert result.violations == []
+
+    def test_graphs_freeze_at_their_own_round(self):
+        rng = np.random.default_rng(29)
+        potential = TernaryPotential.default(EQ)
+        graphs = [_random_graph(rng, EQ, potential, shape) for shape in ("unary", "dense", "sparse")]
+        batched = lbp_map_batch(graphs, LbpConfig())
+        assert batched[0].iterations == 2  # unary-only: pinned, then still
+        assert len({result.iterations for result in batched}) > 1
+
+    def test_one_shared_potential(self):
+        graphs = [
+            _graph({(0, 1): 0.9, (0, 2): 0.8, (1, 2): 0.3}),
+            _graph({(0, 1): 0.9}),
+            _graph({(0, 1): 0.9}, weights=CONFLICT_WEIGHTS),
+        ]
+        with pytest.raises(ConfigurationError, match="graph 2"):
+            lbp_map_batch(graphs)
+        with pytest.raises(ConfigurationError):
+            lbp_map_batch([])
 
 
 class TestExactOracle:

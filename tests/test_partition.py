@@ -4,6 +4,7 @@ import concurrent.futures
 import concurrent.futures.process
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -264,9 +265,11 @@ class TestMergedInference:
         assert serial.log_score == threaded.log_score
         assert serial.iterations == threaded.iterations
 
-    def test_no_process_starts_for_any_worker_count(self, monkeypatch):
+    @pytest.mark.parametrize("cores, pools", [({0, 1}, []), ({0}, [])])
+    def test_workers_capped_at_usable_cores(self, monkeypatch, cores, pools):
         # Partitions decode in one batch in this process, so a worker count
-        # above the usable cores never turns into more processes.
+        # above the usable cores never turns into more processes, whatever
+        # the affinity reports.
         _, parts = self._dataset_partitions()
         serial = infer_partitions_parallel(parts, workers=1)
         started = []
@@ -276,10 +279,11 @@ class TestMergedInference:
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
         many = infer_partitions_parallel(parts, workers=8)
-        assert started == []
+        assert started == pools
         assert many.pairs == serial.pairs
         assert many.labels.tolist() == serial.labels.tolist()
         assert many.margins.tolist() == serial.margins.tolist()

@@ -1,27 +1,27 @@
 """Max-product inference over relationship factor graphs.
 
-Messages live in the log domain (max-sum).  A synchronous Jacobi round
-first recomputes every variable-to-factor message from the previous round's
-factor-to-variable messages, then every factor-to-variable message from the
-fresh batch.  New messages are damped against the old ones, max-normalized
-so the strongest component sits at 0, and the largest absolute change over
-all message components drives the convergence test.
+Messages live in the log domain (max-sum).  Every variable is binary, so a
+max-normalized message is fully described by one number, its log-odds
+d = m(1) - m(0), and the store keeps one float per edge and direction.  A
+synchronous Jacobi round first recomputes every variable-to-factor message
+from the previous round's factor-to-variable messages, then every
+factor-to-variable message from the fresh batch.  Each new message is
+clipped to +-MESSAGE_SPREAD_CAP and damped linearly against the old one,
+and the largest absolute change of any message drives the convergence test.
 
-Hard zeros circulate as the finite sentinel LOG_ZERO.  The variable-side
-update adds saturatingly (a sum is LOG_ZERO as soon as one addend is) by
-counting sentinels apart from the finite part.  The factor-side update
-maxes over the table's live configurations only and adds plainly: a dead
-incoming component keeps a sum near LOG_ZERO, far below LOG_ZERO_BOUND
-(live log-potentials lie within 745 of 0, live messages within
-[-MESSAGE_SPREAD_CAP, 0]), and normalization snaps it back to LOG_ZERO.
+Messages carry no hard zeros.  Priors are clamped away from 0 and 1, every
+free configuration of a ternary table is strictly positive, and each target
+state of each clique slot has a free configuration, so every message is
+finite.  The factor-side update maxes over the table's live configurations
+only; the LOG_ZERO sentinel is read by scoring alone.
 
 Unary factors have degree one, so their outgoing message is pinned to the
-normalized unary log-potential and is not damped; a graph without ternary
-factors therefore converges in two rounds to the prior argmax.
+unary log-odds and is not damped; a graph without ternary factors therefore
+converges in two rounds to the prior argmax.
 
 Several graphs under one potential decode as a batch: one message store
 holds their disjoint union, and each round runs the same kernels over all
-of it.  Every step is row-wise except the variable-side sums, which add
+of it.  Every step is edge-wise except the variable-side sums, which add
 each variable's edges in the same order as a store of its graph alone, so
 each graph's messages match a lone decode bit for bit.  After a round each
 graph takes its own delta; a graph that converged or reached the round cap
@@ -48,11 +48,10 @@ from .model import (
 ORACLE_VARIABLE_CAP = 25
 _ORACLE_CHUNK = 1 << 16
 
-# On cyclic graphs the dominated component of a normalized max-sum message
-# can drift toward -inf at a constant rate per round, which keeps the
-# convergence delta pinned at that rate forever.  Capping the spread at a
-# log-odds gap of 50 (~e^50 to one) is decision-equivalent and lets
-# saturated messages actually stop moving.
+# On cyclic graphs a max-sum message's log-odds can drift toward +-inf at a
+# constant rate per round, which keeps the convergence delta pinned at that
+# rate forever.  Capping it at 50 (~e^50 to one) is decision-equivalent and
+# lets saturated messages actually stop moving.
 MESSAGE_SPREAD_CAP = 50.0
 
 
@@ -61,7 +60,7 @@ class LbpConfig:
     """Knobs for loopy max-product.
 
     tolerance = 0 disables early stopping and forces the full iteration
-    budget; any positive value stops once no message component moved that
+    budget; any positive value stops once no message's log-odds moved that
     much in a round.
     """
 
@@ -78,71 +77,29 @@ class LbpConfig:
             raise ConfigurationError("tolerance must be non-negative")
 
 
-def _normalize_rows(messages: np.ndarray) -> np.ndarray:
-    """Shift each row so its max is 0; snap dead components to LOG_ZERO.
-
-    Live components are floored at -MESSAGE_SPREAD_CAP so a dominated state
-    saturates instead of diverging.  Rows with no live component degenerate
-    to uniform [0, 0].
-    """
-    peak = messages.max(axis=1)
-    dead_row = peak <= LOG_ZERO_BOUND
-    shift = np.where(dead_row, 0.0, peak)
-    out = messages - shift[:, None]
-    dead = out <= LOG_ZERO_BOUND
-    out = np.where(dead, LOG_ZERO, np.maximum(out, -MESSAGE_SPREAD_CAP))
-    if dead_row.any():
-        out[dead_row] = 0.0
-    return out
-
-
-def _damp(old: np.ndarray, computed: np.ndarray, damping: float) -> np.ndarray:
-    """Mix old and computed messages where both are live, else jump.
-
-    Interpolating with the sentinel would manufacture meaningless
-    intermediate magnitudes, so sentinel transitions apply immediately.
-    """
-    if damping == 0.0:
-        return computed
-    live = (old > LOG_ZERO_BOUND) & (computed > LOG_ZERO_BOUND)
-    mixed = np.where(live, damping * old + (1.0 - damping) * computed, computed)
-    return _normalize_rows(mixed)
-
-
-def _segment_saturating_sums(
-    values: np.ndarray, segments: np.ndarray, n_segments: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment finite sums and sentinel counts of (E, 2) message rows."""
-    dead = values <= LOG_ZERO_BOUND
-    finite = np.where(dead, 0.0, values)
-    sums = np.empty((n_segments, 2), dtype=np.float64)
-    counts = np.empty((n_segments, 2), dtype=np.float64)
-    for state in (0, 1):
-        sums[:, state] = np.bincount(segments, weights=finite[:, state], minlength=n_segments)
-        counts[:, state] = np.bincount(
-            segments, weights=dead[:, state].astype(np.float64), minlength=n_segments
-        )
-    return sums, counts
+def _cap(log_odds: np.ndarray) -> np.ndarray:
+    return np.clip(log_odds, -MESSAGE_SPREAD_CAP, MESSAGE_SPREAD_CAP)
 
 
 @dataclass
 class MessageStore:
-    """Message state over the variables and ternary cliques of one or more graphs.
+    """Message log-odds over the variables and ternary cliques of one or more graphs.
 
-    Edges are laid out unary-first: edge e < m is the unary edge of variable
-    e; edges m + 3f + s belong to ternary factor f, slot s, where slots
-    follow the clique order (x_ij, x_jk, x_ik).  A store over several graphs
-    holds their disjoint union: each graph's variable and clique ids are
-    offset past those of the graphs before it, so every variable meets its
-    edges in the same order as in a store of its own graph, and each
-    graph's messages evolve bit for bit as they would alone.  All graphs of
-    a store share one potential.
+    Each array holds one float64 per edge: the message's log-odds
+    m(1) - m(0), within +-MESSAGE_SPREAD_CAP.  Edges are laid out
+    unary-first: edge e < m is the unary edge of variable e; edges m + 3f + s
+    belong to ternary factor f, slot s, where slots follow the clique order
+    (x_ij, x_jk, x_ik).  A store over several graphs holds their disjoint
+    union: each graph's variable and clique ids are offset past those of the
+    graphs before it, so every variable meets its edges in the same order as
+    in a store of its own graph, and each graph's messages evolve bit for
+    bit as they would alone.  All graphs of a store share one potential.
     """
 
-    var_to_factor: np.ndarray  # (E, 2)
-    factor_to_var: np.ndarray  # (E, 2)
+    var_to_factor: np.ndarray  # (E,)
+    factor_to_var: np.ndarray  # (E,)
     edge_var: np.ndarray       # (E,)
-    unary_message: np.ndarray  # (m, 2) normalized unary log-potentials
+    unary_message: np.ndarray  # (m,) unary log-odds
     live_log: np.ndarray       # (L,) log-potentials of the live configurations
     live_states: np.ndarray    # (L, 3) their slot states (x_ij, x_jk, x_ik)
 
@@ -157,12 +114,13 @@ class MessageStore:
         m = sum(sizes)
         triples = np.concatenate([g.triples + o for g, o in zip(graphs, offsets)])
         edges = m + triples.size
+        unary_log = np.concatenate([g.unary_log for g in graphs])
         live = np.flatnonzero(graphs[0].potential.table)
         return cls(
-            var_to_factor=np.zeros((edges, 2), dtype=np.float64),
-            factor_to_var=np.zeros((edges, 2), dtype=np.float64),
+            var_to_factor=np.zeros(edges, dtype=np.float64),
+            factor_to_var=np.zeros(edges, dtype=np.float64),
             edge_var=np.concatenate([np.arange(m, dtype=np.int64), triples.ravel()]),
-            unary_message=_normalize_rows(np.concatenate([g.unary_log for g in graphs])),
+            unary_message=_cap(unary_log[:, 1] - unary_log[:, 0]),
             live_log=graphs[0].log_table[live],
             live_states=(live[:, None] >> np.array([2, 1, 0])) & 1,
         )
@@ -185,48 +143,42 @@ class MessageStore:
 
 
 def _variable_round(store: MessageStore) -> np.ndarray:
-    m = store.num_variables
-    sums, counts = _segment_saturating_sums(store.factor_to_var, store.edge_var, m)
-    dead = store.factor_to_var <= LOG_ZERO_BOUND
-    finite = np.where(dead, 0.0, store.factor_to_var)
-    out = sums[store.edge_var] - finite
-    out_counts = counts[store.edge_var] - dead
-    computed = np.where(out_counts > 0.5, LOG_ZERO, out)
-    return _normalize_rows(computed)
+    return _cap(_beliefs(store)[store.edge_var] - store.factor_to_var)
 
 
 def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
-    """Ternary factor-to-variable messages, (3t, 2) rows in edge order."""
-    q = fresh_v2f[store.num_variables:].reshape(-1, 3, 2)
+    """Ternary factor-to-variable log-odds, (3t,) in edge order."""
+    d = fresh_v2f[store.num_variables:].reshape(-1, 3)
     states = store.live_states
-    out = np.empty(q.shape, dtype=np.float64)
+    out = np.empty(d.shape, dtype=np.float64)
     # Each target slot maxes, per target state, over the live configurations
-    # with that state, scored by the incoming messages of the other two slots.
+    # with that state, scored by the incoming log-odds of the other two
+    # slots; a slot in state 0 adds nothing.
     for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-        scores = store.live_log + (q[:, a, states[:, a]] + q[:, b, states[:, b]])
-        for state in (0, 1):
-            out[:, target, state] = scores[:, states[:, target] == state].max(axis=1)
-    return _normalize_rows(out.reshape(-1, 2))
+        scores = store.live_log + (d[:, a, None] * states[:, a] + d[:, b, None] * states[:, b])
+        on = states[:, target] == 1
+        out[:, target] = scores[:, on].max(axis=1) - scores[:, ~on].max(axis=1)
+    return _cap(out.ravel())
 
 
 def jacobi_round(store: MessageStore, damping: float) -> np.ndarray:
     """Run one synchronous round in place; return each edge's change.
 
-    An edge's change is the largest absolute move of any component of its
-    two messages, so a graph's convergence delta is the max over its edges.
+    An edge's change is the larger absolute move of its two messages'
+    log-odds, so a graph's convergence delta is the max over its edges.
     """
     m = store.num_variables
-    fresh_v2f = _damp(store.var_to_factor, _variable_round(store), damping)
+    fresh_v2f = damping * store.var_to_factor + (1.0 - damping) * _variable_round(store)
     # Unary messages stay pinned and are never damped.
     fresh_f2v = np.concatenate([
         store.unary_message,
-        _damp(store.factor_to_var[m:], _factor_round(store, fresh_v2f), damping),
+        damping * store.factor_to_var[m:] + (1.0 - damping) * _factor_round(store, fresh_v2f),
     ])
     moved = np.abs(fresh_v2f - store.var_to_factor)
     np.maximum(moved, np.abs(fresh_f2v - store.factor_to_var), out=moved)
     store.var_to_factor = fresh_v2f
     store.factor_to_var = fresh_f2v
-    return np.maximum(moved[:, 0], moved[:, 1])
+    return moved
 
 
 def _run_maxima(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -240,10 +192,10 @@ def _run_maxima(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _beliefs(store: MessageStore) -> np.ndarray:
-    sums, counts = _segment_saturating_sums(
-        store.factor_to_var, store.edge_var, store.num_variables
+    """Each variable's belief log-odds: the sum of its incoming messages."""
+    return np.bincount(
+        store.edge_var, weights=store.factor_to_var, minlength=store.num_variables
     )
-    return np.where(counts > 0.5, LOG_ZERO, sums)
 
 
 def configuration_codes(labels: np.ndarray, triples: np.ndarray) -> np.ndarray:
@@ -331,9 +283,9 @@ def greedy_repair(
 
 @dataclass(frozen=True)
 class Beliefs:
-    """A graph's max-marginal log beliefs where its message rounds stopped."""
+    """A graph's max-marginal belief log-odds where its message rounds stopped."""
 
-    values: np.ndarray  # (m, 2)
+    values: np.ndarray  # (m,)
     iterations: int
     converged: bool
 
@@ -376,13 +328,9 @@ def max_product_rounds(
         frozen = converged | (iteration == config.max_iterations)
         if not frozen.any():
             continue
-        beliefs = _beliefs(store)
-        starts = np.cumsum(variables) - variables
+        beliefs = np.split(_beliefs(store), np.cumsum(variables)[:-1])
         for local in np.flatnonzero(frozen):
-            rows = slice(starts[local], starts[local] + variables[local])
-            out[active[local]] = Beliefs(
-                beliefs[rows].copy(), iteration, bool(converged[local])
-            )
+            out[active[local]] = Beliefs(beliefs[local].copy(), iteration, bool(converged[local]))
         if frozen.all():
             break
         kept = ~frozen
@@ -405,9 +353,8 @@ def lbp_map(
     """
     if beliefs is None:
         [beliefs] = max_product_rounds([graph], config)
-    values = beliefs.values
-    labels = (values[:, 1] > values[:, 0]).astype(np.int64)
-    margins = np.clip(values[:, 1] - values[:, 0], -abs(LOG_ZERO), abs(LOG_ZERO))
+    margins = beliefs.values
+    labels = (margins > 0).astype(np.int64)
     score = joint_log_score(graph, labels)
     violations = violated_cliques(graph, labels)
     assignment = AssignmentGraph(

@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Finite stand-in for log(0).  Values at or below LOG_ZERO_BOUND are treated
-# as hard zeros by message and scoring arithmetic, which keeps log-domain
-# additions saturating instead of overflowing to NaN.
+# Finite stand-in for log(0).  Only scoring arithmetic reads it: values at or
+# below LOG_ZERO_BOUND are hard zeros there, which keeps log-domain additions
+# saturating instead of overflowing to NaN.  Messages never carry it.
 LOG_ZERO = -1e30
 LOG_ZERO_BOUND = -1e18
 

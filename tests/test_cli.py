@@ -1,12 +1,14 @@
 """End-to-end command line tests: exit codes, reports, pipelines."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import concord
 from concord.cli import main
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
@@ -357,21 +359,27 @@ class TestTrainPrior:
         ]) == 1
 
 
+def run_module(*argv):
+    """Run ``python -m concord.cli`` on the package these tests imported."""
+    env = dict(os.environ)
+    source = str(Path(concord.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "concord.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestEntrypoint:
     def test_installed_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "concord.cli", "stats", "--n", "4"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("stats", "--n", "4")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["variables"] == 6
 
     def test_verbose_flag_logs_to_stderr(self, synth_dir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "concord.cli", "-v", "infer",
-             "--concepts", str(synth_dir / "concepts.csv"),
-             "--priors", str(synth_dir / "priors.csv")],
-            capture_output=True, text=True,
+        proc = run_module(
+            "-v", "infer",
+            "--concepts", str(synth_dir / "concepts.csv"),
+            "--priors", str(synth_dir / "priors.csv"),
         )
         assert proc.returncode == 0
         assert "variables" in proc.stderr  # info log line

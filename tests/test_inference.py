@@ -15,7 +15,6 @@ from concord.inference import (
     LbpConfig,
     MessageStore,
     _factor_round,
-    _normalize_rows,
     _variable_round,
     configuration_codes,
     exact_map_oracle,
@@ -88,18 +87,23 @@ def edge_factor(graph, edge):
     return edge if edge < m else m + (edge - m) // 3
 
 
+def normalize(row):
+    """Shift a two-component message so its max is 0; floor it at -cap."""
+    return np.maximum(row - row.max(), -MESSAGE_SPREAD_CAP)
+
+
+def components(log_odds):
+    """The max-normalized two-component message (m(0), m(1)) of a log-odds."""
+    return np.array([min(0.0, -log_odds), min(0.0, log_odds)])
+
+
 def variable_to_factor_message(graph, store, variable, factor):
     """Product (log-sum) of incoming factor messages, excluding the target."""
     total = np.zeros(2, dtype=np.float64)
-    dead = np.zeros(2, dtype=bool)
     for w in incident_factors(graph, variable):
-        if w == factor:
-            continue
-        incoming = store.factor_to_var[edge_id(graph, variable, w)]
-        dead |= incoming <= LOG_ZERO_BOUND
-        total += np.where(incoming <= LOG_ZERO_BOUND, 0.0, incoming)
-    message = np.where(dead, LOG_ZERO, total)
-    return _normalize_rows(message[None, :])[0]
+        if w != factor:
+            total += components(store.factor_to_var[edge_id(graph, variable, w)])
+    return normalize(total)
 
 
 def factor_to_variable_message(graph, store, factor, variable):
@@ -107,68 +111,38 @@ def factor_to_variable_message(graph, store, factor, variable):
     m = graph.num_variables
     if factor < m:
         assert factor == variable, f"unary factor {factor} is not incident to variable {variable}"
-        return store.unary_message[variable].copy()
+        return components(store.unary_message[variable])
     f = factor - m
     target = graph.triples[f].tolist().index(variable)
-    table = graph.log_table.reshape(2, 2, 2)
-    incoming = [store.var_to_factor[m + 3 * f + s] for s in range(3)]
-    out = np.full(2, LOG_ZERO, dtype=np.float64)
+    incoming = [components(store.var_to_factor[m + 3 * f + s]) for s in range(3)]
+    out = np.full(2, -math.inf)
     for cfg_index in range(8):
-        cfg = ((cfg_index >> 2) & 1, (cfg_index >> 1) & 1, cfg_index & 1)
-        score = table[cfg]
-        if score <= LOG_ZERO_BOUND:
+        if graph.potential.table[cfg_index] == 0.0:
             continue
-        live = True
-        for s in range(3):
-            if s == target:
-                continue
-            component = incoming[s][cfg[s]]
-            if component <= LOG_ZERO_BOUND:
-                live = False
-                break
-            score += component
-        if live and score > out[cfg[target]]:
-            out[cfg[target]] = score
-    return _normalize_rows(out[None, :])[0]
+        cfg = ((cfg_index >> 2) & 1, (cfg_index >> 1) & 1, cfg_index & 1)
+        score = graph.log_table[cfg_index] + sum(
+            incoming[s][cfg[s]] for s in range(3) if s != target
+        )
+        out[cfg[target]] = max(out[cfg[target]], score)
+    return normalize(out)
+
+
+def log_odds(row):
+    return row[..., 1] - row[..., 0]
 
 
 def check_message_sanity(store):
-    """Every row peaks at exactly 0; every component is LOG_ZERO or in
-    [-MESSAGE_SPREAD_CAP, 0]."""
+    """Every message is a finite log-odds within the spread cap."""
     for name, block in (("var_to_factor", store.var_to_factor), ("factor_to_var", store.factor_to_var)):
-        assert not np.isnan(block).any(), f"{name} contains NaN"
-        assert (block.max(axis=1) == 0.0).all(), f"{name} has a row whose max component is not 0"
-        live = (block >= -MESSAGE_SPREAD_CAP) & (block <= 0.0)
-        assert (live | (block == LOG_ZERO)).all(), f"{name} has a component off LOG_ZERO and [-cap, 0]"
-
-
-class TestNormalization:
-    def test_peak_moves_to_zero(self):
-        out = _normalize_rows(np.array([[1.0, 3.0], [-2.0, -5.0]]))
-        assert out[0].tolist() == [-2.0, 0.0]
-        assert out[1].tolist() == [0.0, -3.0]
-
-    def test_sentinels_stay_sentinels(self):
-        out = _normalize_rows(np.array([[LOG_ZERO, 7.0]]))
-        assert out[0, 0] == LOG_ZERO
-        assert out[0, 1] == 0.0
-
-    def test_dead_row_degenerates_to_uniform(self):
-        out = _normalize_rows(np.array([[LOG_ZERO, LOG_ZERO]]))
-        assert out[0].tolist() == [0.0, 0.0]
-
-    def test_spread_is_capped(self):
-        out = _normalize_rows(np.array([[-200.0, 0.0]]))
-        assert out[0, 0] == -MESSAGE_SPREAD_CAP
+        assert np.isfinite(block).all(), f"{name} has a message that is not finite"
+        assert (np.abs(block) <= MESSAGE_SPREAD_CAP).all(), f"{name} has a message beyond the cap"
 
 
 class TestMessagePrimitives:
     def test_unary_message_is_normalized_prior(self):
         graph = _graph({(0, 1): 0.9})
         store = MessageStore.initial(graph)
-        row = store.unary_message[0]
-        assert row[1] == 0.0
-        assert row[0] == pytest.approx(math.log(0.1) - math.log(0.9))
+        assert store.unary_message[0] == pytest.approx(math.log(0.9) - math.log(0.1))
 
     def test_variable_to_factor_sums_other_incoming(self):
         graph = _graph({}, n=4, mode="dense")
@@ -176,24 +150,11 @@ class TestMessagePrimitives:
         m = graph.num_variables
         # Variable 0 is pair (0, 1); it sits in cliques (0,1,2) and (0,1,3).
         assert incident_factors(graph, 0) == [0, m + 0, m + 1]
-        store.factor_to_var[edge_id(graph, 0, 0)] = [0.0, -2.0]
-        store.factor_to_var[edge_id(graph, 0, m + 0)] = [-1.0, 0.0]
+        store.factor_to_var[edge_id(graph, 0, 0)] = -2.0
+        store.factor_to_var[edge_id(graph, 0, m + 0)] = 1.0
         out = variable_to_factor_message(graph, store, 0, m + 1)
         assert out.tolist() == [0.0, -1.0]
-
-    def test_factor_message_inherits_hard_zeros(self):
-        graph = _graph({}, n=3, mode="dense")
-        store = MessageStore.initial(graph)
-        m = graph.num_variables
-        pinned = np.array([LOG_ZERO, 0.0])
-        # Pin the first two slots of the only clique to state 1; the closing
-        # pair then cannot take state 0 without hitting a zero configuration.
-        store.var_to_factor[m + 0] = pinned
-        store.var_to_factor[m + 1] = pinned
-        target = int(graph.triples[0][2])
-        out = factor_to_variable_message(graph, store, m, target)
-        assert out[0] <= LOG_ZERO_BOUND
-        assert out[1] == 0.0
+        assert _variable_round(store)[edge_id(graph, 0, m + 1)] == -1.0
 
     def test_round_batch_matches_reference_messages(self):
         # After 1-5 damped rounds, both batch updates agree with the scalar
@@ -202,7 +163,7 @@ class TestMessagePrimitives:
         tables = [
             (EQ, itertools.combinations(range(7), 2), None),
             (PC, itertools.permutations(range(5), 2), None),
-            # Log-potentials near +-690 next to the sentinel.
+            # Log-potentials near +-690.
             (EQ, itertools.combinations(range(7), 2), (1e-300, 1e300, 1e-150, 1e150, 1.0)),
         ]
         for kind, pairs, weights in tables:
@@ -220,18 +181,13 @@ class TestMessagePrimitives:
                 for _ in range(rounds):
                     jacobi_round(store, damping=0.5)
                 np.testing.assert_array_equal(store.factor_to_var[:m], store.unary_message)
-                # Finite priors never produce hard zeros here, so plant some
-                # to exercise the sentinel arithmetic.
-                for block in (store.var_to_factor, store.factor_to_var):
-                    rows = rng.choice(len(block), size=len(block) // 8, replace=False)
-                    block[rows, rng.integers(0, 2, size=rows.size)] = LOG_ZERO
-                expected = np.stack([
+                expected = log_odds(np.stack([
                     variable_to_factor_message(graph, store, var, factor) for var, factor in edges
-                ])
+                ]))
                 np.testing.assert_allclose(_variable_round(store), expected, rtol=0, atol=1e-12)
-                expected = np.stack([
+                expected = log_odds(np.stack([
                     factor_to_variable_message(graph, store, factor, var) for var, factor in edges[m:]
-                ])
+                ]))
                 np.testing.assert_allclose(
                     _factor_round(store, store.var_to_factor), expected, rtol=0, atol=1e-12
                 )
@@ -240,9 +196,33 @@ class TestMessagePrimitives:
         graph = _graph({}, n=5, mode="dense")
         store = MessageStore.initial(graph)
         edges = graph.num_variables + 3 * graph.num_ternary_factors
-        assert store.var_to_factor.shape == (edges, 2)
-        assert store.factor_to_var.shape == (edges, 2)
+        assert store.var_to_factor.shape == (edges,)
+        assert store.factor_to_var.shape == (edges,)
         assert graph.num_edges == edges
+
+    @pytest.mark.parametrize("kind, weights", [
+        (EQ, (1e-300, 1e300, 1e-150, 1e150, 1.0)),
+        (PC, (1e-300, 1e300, 1e-150, 1e150, 1.0, 1e-300, 1e300)),
+    ])
+    def test_extreme_inputs_keep_messages_finite(self, kind, weights):
+        # Priors of exactly 0 and 1 next to log-potentials near +-690: the
+        # clamped priors and the strictly positive free configurations keep
+        # every message finite with no hard-zero arithmetic.
+        rng = np.random.default_rng(31)
+        pairs = (
+            itertools.combinations(range(6), 2) if kind.symmetric
+            else itertools.permutations(range(5), 2)
+        )
+        priors = {pair: float(rng.integers(2)) for pair in pairs}
+        graph = _graph(priors, kind=kind, weights=weights, mode="dense")
+        config = LbpConfig(max_iterations=200, tolerance=0.0)
+        store = MessageStore.initial(graph)
+        for _ in range(config.max_iterations):
+            jacobi_round(store, config.damping)
+        check_message_sanity(store)
+        decoded = lbp_map(graph, config)
+        assert decoded.iterations == config.max_iterations
+        assert np.isfinite(decoded.margins).all()
 
 
 class TestDecoding:
@@ -332,9 +312,7 @@ class TestDecoding:
         store = MessageStore.initial(graph)
         for _ in range(80):
             jacobi_round(store, damping=0.5)
-        for block in (store.var_to_factor, store.factor_to_var):
-            live = block[block > LOG_ZERO_BOUND]
-            assert live.min() >= -MESSAGE_SPREAD_CAP - 1e-12
+        check_message_sanity(store)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -86,18 +86,37 @@ def _jaccard(a: frozenset | set, b: frozenset | set) -> float:
 
 
 def _levenshtein(a: str, b: str) -> int:
-    # Two-row dynamic program; names are short so this is never hot.
+    """Edit distance by the bit-parallel algorithm of Myers (1999), in the
+    form Hyyrö (2001) gives for Levenshtein distance.
+
+    Bit i of pv/mv says the DP column steps up/down by one at row i of the
+    shorter string; one pass over the longer string updates all rows at
+    once, and the last column, read off at the end, holds the distance.
+    Python ints are unbounded, so names of any length take the same path.
+    Equal to the two-row DP reference in the tests for every input.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
-            )
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    pv, mv = mask, 0
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    # The top cell of the last column is len(a); add its vertical steps.
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def _ratio(x: int, y: int) -> float:
@@ -161,8 +180,8 @@ class LinearPriorModel:
     def __post_init__(self) -> None:
         if len(self.weights) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} weights")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     def logit(self, features: FeatureVector | np.ndarray) -> float:
         x = features.as_array() if isinstance(features, FeatureVector) else np.asarray(features)
@@ -190,8 +209,9 @@ class LinearPriorModel:
 
 def predict_prior(model: LinearPriorModel, features: FeatureVector | np.ndarray) -> PriorBelief:
     z = model.logit(features) / model.temperature
-    # PriorBelief clamps into [eps, 1 - eps].
-    return PriorBelief(1.0 / (1.0 + math.exp(-z)))
+    # PriorBelief clamps into [eps, 1 - eps], so capping exp's argument
+    # below its overflow point changes no result.
+    return PriorBelief(1.0 / (1.0 + math.exp(min(-z, 700.0))))
 
 
 @dataclass(frozen=True)
@@ -208,7 +228,7 @@ def _weighted_loss_grad(
     z = X @ params[:-1] + params[-1]
     softplus = np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
     loss = float(np.sum(sample_w * (softplus - y * z)) / np.sum(sample_w))
-    residual = sample_w * (1.0 / (1.0 + np.exp(-z)) - y)
+    residual = sample_w * (1.0 / (1.0 + np.exp(np.minimum(-z, 700.0))) - y)
     grad = np.concatenate([X.T @ residual, [np.sum(residual)]]) / np.sum(sample_w)
     return loss, grad
 
@@ -281,8 +301,8 @@ def calibrate_temperature(
     if not grid:
         raise ConfigurationError("temperature grid is empty")
     for t in grid:
-        if t <= 0:
-            raise ConfigurationError(f"temperatures must be positive, got {t}")
+        if not (math.isfinite(t) and t > 0):
+            raise ConfigurationError(f"temperatures must be positive and finite, got {t}")
     logits = np.array([model.logit(f) for f, _ in validation])
     y = np.array([label for _, label in validation], dtype=np.float64)
     best_t, best_nll = None, math.inf

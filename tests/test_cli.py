@@ -352,6 +352,18 @@ class TestTrainPrior:
         labels = (synth_dir / "labels.csv").read_text().strip().splitlines()
         assert len(inferred["assignments"]) == len(labels) - 1
 
+    @pytest.mark.parametrize("grid", ["nan", "1.0,inf", "0"])
+    def test_bad_temperature_grid_is_configuration_error(self, synth_dir, tmp_path, capsys, grid):
+        assert main([
+            "train-prior",
+            "--concepts", str(synth_dir / "concepts.csv"),
+            "--train", str(synth_dir / "train.csv"),
+            "--validation", str(synth_dir / "validation.csv"),
+            "--temperature-grid", grid,
+            "--output", str(tmp_path / "model.json"),
+        ]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_split_is_usage_error(self, synth_dir):
         assert main([
             "train-prior", "--concepts", str(synth_dir / "concepts.csv"),

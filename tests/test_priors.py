@@ -1,18 +1,20 @@
 """String features, the logistic prior model, calibration, CSV ingestion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from concord.errors import ConfigurationError, InputFormatError
-from concord.model import Concept, RelationshipKind
+from concord.model import PRIOR_EPSILON, Concept, RelationshipKind
 from concord.priors import (
     FEATURE_NAMES,
     FeatureVector,
     LinearPriorModel,
     TrainConfig,
+    _levenshtein,
     calibrate_temperature,
     extract_features,
     load_external_priors,
@@ -25,6 +27,72 @@ EQ = RelationshipKind.EQUIVALENCE
 _names = st.text(
     alphabet=st.sampled_from("abcdefgh XYZ_0123"), min_size=1, max_size=24
 ).filter(lambda s: s.strip())
+
+# Letters, separators, digits and non-ASCII text; "İ".lower() is two code points.
+_edit_text = st.text(alphabet=st.sampled_from("abc XY_019éßİ"), max_size=80)
+
+
+def reference_levenshtein(a: str, b: str) -> int:
+    """Two-row dynamic program: the scalar reference for _levenshtein."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
+
+
+class TestEditDistance:
+    @pytest.mark.parametrize(
+        "a, b, distance",
+        [
+            ("kitten", "sitting", 3),
+            ("", "abc", 3),
+            ("abc", "", 3),
+            ("", "", 0),
+            ("flaw", "flaw", 0),
+            ("ab", "ba", 2),
+        ],
+    )
+    def test_fixed_cases(self, a, b, distance):
+        assert _levenshtein(a, b) == distance
+        assert reference_levenshtein(a, b) == distance
+
+    @settings(max_examples=400)
+    @given(_edit_text, _edit_text)
+    def test_equals_reference(self, a, b):
+        assert _levenshtein(a, b) == reference_levenshtein(a, b)
+        assert _levenshtein(b, a) == _levenshtein(a, b)
+        assert _levenshtein(a, a) == 0
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 130, 200, 257])
+    def test_names_past_one_machine_word(self, length):
+        rng = np.random.default_rng(length)
+        alphabet = list("abc _9éİ")
+        a = "".join(rng.choice(alphabet, size=length))
+        for b in (
+            "".join(rng.choice(alphabet, size=length)),
+            "".join(rng.choice(alphabet, size=length // 3)),
+            a[1:] + "x",
+            a.upper().lower(),
+            "",
+        ):
+            assert _levenshtein(a, b) == reference_levenshtein(a, b)
+
+    @settings(max_examples=200)
+    @given(_edit_text.filter(str.strip), _edit_text.filter(str.strip))
+    def test_feature_uses_lowered_names(self, a, b):
+        name_a, name_b = a.lower(), b.lower()
+        max_len = max(len(name_a), len(name_b))
+        expected = (
+            1.0 - reference_levenshtein(name_a, name_b) / max_len if max_len else 1.0
+        )
+        assert extract_features(Concept(0, a), Concept(1, b)).edit_similarity == expected
 
 
 class TestFeatures:
@@ -114,6 +182,21 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             LinearPriorModel(weights=(0.0,) * 7, bias=0.0, temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            LinearPriorModel(weights=(0.0,) * 7, bias=0.0, temperature=temperature)
+        model = LinearPriorModel(weights=(0.0,) * 7, bias=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            model.with_temperature(temperature)
+
+    def test_extreme_logits_clamp_instead_of_overflowing(self):
+        x = np.ones(7)
+        low = LinearPriorModel(weights=(-1000.0,) * 7, bias=0.0)
+        assert predict_prior(low, x).p_one == PRIOR_EPSILON
+        high = LinearPriorModel(weights=(1000.0,) * 7, bias=0.0)
+        assert predict_prior(high, x).p_one == 1.0 - PRIOR_EPSILON
+
     @settings(max_examples=100)
     @given(
         st.floats(min_value=-5.0, max_value=5.0),
@@ -171,6 +254,18 @@ class TestTraining:
         b = train_linear_prior(examples)
         assert a == b
 
+    def test_large_separable_features_train_without_overflow(self):
+        examples = []
+        for k in range(20):
+            sign = 1.0 if k % 2 else -1.0
+            examples.append((np.full(7, 50.0 * sign), int(sign > 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_linear_prior(examples, TrainConfig(learning_rate=100.0))
+        assert all(math.isfinite(w) for w in model.weights + (model.bias,))
+        assert predict_prior(model, np.full(7, 50.0)).argmax == 1
+        assert predict_prior(model, np.full(7, -50.0)).argmax == 0
+
     def test_rejects_degenerate_sets(self):
         x = np.zeros(7)
         with pytest.raises(ConfigurationError):
@@ -219,6 +314,12 @@ class TestCalibration:
             calibrate_temperature(model, [(np.zeros(7), 1)], grid=())
         with pytest.raises(ConfigurationError):
             calibrate_temperature(model, [(np.zeros(7), 1)], grid=(0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_grid_entries(self, bad):
+        model = LinearPriorModel(weights=(0.0,) * 7, bias=0.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            calibrate_temperature(model, [(np.zeros(7), 1)], grid=(1.0, bad))
 
 
 class TestExternalPriors:

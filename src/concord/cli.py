@@ -250,7 +250,10 @@ def _load_prior_map(cfg: SimpleNamespace, concepts, kind) -> dict[tuple[int, int
     payload = fileio.load_json(cfg.prior_model)
     if isinstance(payload, dict) and "model" in payload:
         payload = payload["model"]
-    model = LinearPriorModel.from_dict(payload)
+    try:
+        model = LinearPriorModel.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(cfg.prior_model, None, f"not a prior model: {exc}")
     if cfg.pairs:
         pair_list = fileio.load_pairs(cfg.pairs, n, kind)
     else:

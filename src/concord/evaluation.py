@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .graph import all_pairs, enumerate_ternary_cliques
-from .model import Concept, RelationshipKind, canonical_pair
+from .model import Concept, RelationshipKind
 
 PairLabels = Mapping[tuple[int, int], int]
 
@@ -80,28 +80,30 @@ def prf1(predicted: PairLabels, gold: PairLabels) -> Metrics:
     return Metrics.from_counts(tp, fp, fn, tn)
 
 
-def clique_pairs(
-    i: int, j: int, k: int, kind: RelationshipKind
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The (ij, jk, ik) pair keys of one clique."""
-    return (
-        canonical_pair(i, j, kind),
-        canonical_pair(j, k, kind),
-        canonical_pair(i, k, kind),
-    )
-
-
 def count_transitivity_violations(
     labels: PairLabels,
     cliques: Iterable[tuple[int, int, int]],
     kind: RelationshipKind,
 ) -> tuple[int, list[tuple[int, int, int]]]:
-    """Count cliques whose (x_ij, x_jk, x_ik) configuration is forbidden."""
+    """Count cliques whose (x_ij, x_jk, x_ik) configuration is forbidden.
+
+    The pair keys are built inline as ``canonical_pair`` would build them;
+    a clique that repeats a concept raises ``ValueError``.
+    """
     zeros = kind.zero_configurations
+    symmetric = kind.symmetric
     violating = []
     for i, j, k in cliques:
-        pair_ij, pair_jk, pair_ik = clique_pairs(i, j, k, kind)
-        cfg = (labels[pair_ij], labels[pair_jk], labels[pair_ik])
+        if i == j or j == k or i == k:
+            raise ValueError(f"clique ({i}, {j}, {k}) has a self-pair, which is no variable")
+        if symmetric:
+            cfg = (
+                labels[(i, j) if i < j else (j, i)],
+                labels[(j, k) if j < k else (k, j)],
+                labels[(i, k) if i < k else (k, i)],
+            )
+        else:
+            cfg = (labels[i, j], labels[j, k], labels[i, k])
         if cfg in zeros:
             violating.append((i, j, k))
     return len(violating), violating

@@ -12,8 +12,11 @@ and the largest absolute change of any message drives the convergence test.
 Messages carry no hard zeros.  Priors are clamped away from 0 and 1, every
 free configuration of a ternary table is strictly positive, and each target
 state of each clique slot has a free configuration, so every message is
-finite.  The factor-side update maxes over the table's live configurations
-only; the LOG_ZERO sentinel is read by scoring alone.
+finite.  A factor's message to one clique slot depends only on the states
+of the other two slots, whose incoming log-odds are d_a and d_b.  So per
+target state it is an elementwise max over at most four length-t vectors,
+w, w + d_a, w + d_b or w + (d_a + d_b), one per live configuration with
+log-potential w; the LOG_ZERO sentinel is read by scoring alone.
 
 Unary factors have degree one, so their outgoing message is pinned to the
 unary log-odds and is not damped; a graph without ternary factors therefore
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +47,7 @@ from .model import (
     LOG_ZERO,
     LOG_ZERO_BOUND,
     AssignmentGraph,
+    TernaryPotential,
 )
 
 ORACLE_VARIABLE_CAP = 25
@@ -94,14 +99,19 @@ class MessageStore:
     graphs before it, so every variable meets its edges in the same order as
     in a store of its own graph, and each graph's messages evolve bit for
     bit as they would alone.  All graphs of a store share one potential.
+
+    ``plan`` is that potential's factor-side update, read once from its log
+    table: for each target slot and each target state (0, then 1), the
+    live configurations as ``(code, w)`` with ``code = 2·s_a + s_b`` the
+    states of the other two slots in clique order and ``w`` the
+    configuration's log-potential as a Python float.
     """
 
     var_to_factor: np.ndarray  # (E,)
     factor_to_var: np.ndarray  # (E,)
     edge_var: np.ndarray       # (E,)
     unary_message: np.ndarray  # (m,) unary log-odds
-    live_log: np.ndarray       # (L,) log-potentials of the live configurations
-    live_states: np.ndarray    # (L, 3) their slot states (x_ij, x_jk, x_ik)
+    plan: tuple                # [target slot][target state] -> ((code, w), ...)
 
     @property
     def num_variables(self) -> int:
@@ -115,14 +125,12 @@ class MessageStore:
         triples = np.concatenate([g.triples + o for g, o in zip(graphs, offsets)])
         edges = m + triples.size
         unary_log = np.concatenate([g.unary_log for g in graphs])
-        live = np.flatnonzero(graphs[0].potential.table)
         return cls(
             var_to_factor=np.zeros(edges, dtype=np.float64),
             factor_to_var=np.zeros(edges, dtype=np.float64),
             edge_var=np.concatenate([np.arange(m, dtype=np.int64), triples.ravel()]),
             unary_message=_cap(unary_log[:, 1] - unary_log[:, 0]),
-            live_log=graphs[0].log_table[live],
-            live_states=(live[:, None] >> np.array([2, 1, 0])) & 1,
+            plan=_factor_plan(graphs[0].potential),
         )
 
     def take(self, variables: np.ndarray, factors: np.ndarray) -> "MessageStore":
@@ -142,6 +150,25 @@ class MessageStore:
         )
 
 
+# The other two slots of each target slot, in clique order.
+_OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
+
+
+def _factor_plan(potential: TernaryPotential) -> tuple:
+    """Per target slot and target state, the live ``(code, w)`` configurations."""
+    log_table = potential.log_table()
+    plan = []
+    for target, (a, b) in enumerate(_OTHER_SLOTS):
+        by_state: tuple[list, list] = ([], [])
+        for cfg in range(8):
+            if potential.table[cfg] == 0.0:
+                continue
+            bits = ((cfg >> 2) & 1, (cfg >> 1) & 1, cfg & 1)
+            by_state[bits[target]].append((2 * bits[a] + bits[b], float(log_table[cfg])))
+        plan.append(tuple(map(tuple, by_state)))
+    return tuple(plan)
+
+
 def _variable_round(store: MessageStore) -> np.ndarray:
     return _cap(_beliefs(store)[store.edge_var] - store.factor_to_var)
 
@@ -149,15 +176,17 @@ def _variable_round(store: MessageStore) -> np.ndarray:
 def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
     """Ternary factor-to-variable log-odds, (3t,) in edge order."""
     d = fresh_v2f[store.num_variables:].reshape(-1, 3)
-    states = store.live_states
     out = np.empty(d.shape, dtype=np.float64)
-    # Each target slot maxes, per target state, over the live configurations
-    # with that state, scored by the incoming log-odds of the other two
-    # slots; a slot in state 0 adds nothing.
-    for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-        scores = store.live_log + (d[:, a, None] * states[:, a] + d[:, b, None] * states[:, b])
-        on = states[:, target] == 1
-        out[:, target] = scores[:, on].max(axis=1) - scores[:, ~on].max(axis=1)
+    for target, (a, b) in enumerate(_OTHER_SLOTS):
+        # A live configuration scores w plus the incoming log-odds of the
+        # other slots in state 1; code 0 (both in state 0) scores w alone.
+        d_a, d_b = d[:, a], d[:, b]
+        added = (None, d_b, d_a, d_a + d_b)
+        off, on = (
+            reduce(np.maximum, [w + added[code] if code else w for code, w in live])
+            for live in store.plan[target]
+        )
+        out[:, target] = on - off
     return _cap(out.ravel())
 
 

@@ -76,7 +76,7 @@ def trigram_embeddings(concepts: Sequence[Concept]) -> np.ndarray:
     Row i is the vector of concept id i.
     """
     n = validate_vocabulary(concepts)
-    grams_per_concept = [_qgrams(c.name) for c in concepts]
+    grams_per_concept = [_qgrams(c.name.lower()) for c in concepts]
     vocab = sorted({g for grams in grams_per_concept for g in grams})
     index = {g: i for i, g in enumerate(vocab)}
     df = np.zeros(len(vocab), dtype=np.float64)

@@ -64,14 +64,14 @@ class FeatureVector:
         )
 
 
-def _tokens(name: str) -> list[str]:
-    return [t for t in _TOKEN_SPLIT.split(name.lower()) if t]
+def _tokens(text: str) -> list[str]:
+    """Word tokens of an already lower-cased name."""
+    return [t for t in _TOKEN_SPLIT.split(text) if t]
 
 
-def _qgrams(name: str, q: int = QGRAM_SIZE) -> list[str]:
-    """Character q-grams of the lower-cased name, in order; a name shorter
-    than q is its own single gram."""
-    text = name.lower()
+def _qgrams(text: str, q: int = QGRAM_SIZE) -> list[str]:
+    """Character q-grams of an already lower-cased name, in order; a name
+    shorter than q is its own single gram."""
     if len(text) < q:
         return [text]
     return [text[i : i + q] for i in range(len(text) - q + 1)]

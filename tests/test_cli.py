@@ -364,6 +364,25 @@ class TestTrainPrior:
         ]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [
+        {"weights": [0, 0], "bias": 0},
+        {"weights": [0] * 7, "bias": 0, "temperature": 0},
+        {"weights": [0] * 7, "bias": 0, "temperature": "nan"},
+        {"bias": 0},
+        {"weights": 3, "bias": 0},
+    ])
+    def test_malformed_model_is_input_error(self, synth_dir, tmp_path, capsys, model):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"model": model}))
+        assert main([
+            "infer",
+            "--concepts", str(synth_dir / "concepts.csv"),
+            "--prior-model", str(model_path),
+            "--pairs", str(synth_dir / "labels.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "not a prior model" in err
+
     def test_missing_split_is_usage_error(self, synth_dir):
         assert main([
             "train-prior", "--concepts", str(synth_dir / "concepts.csv"),

@@ -80,6 +80,38 @@ class TestTransitivityAudit:
         assert count_transitivity_violations(broken, cliques, PC)[0] == 1
         assert count_transitivity_violations(skipped, cliques, PC)[0] == 0
 
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_matches_canonical_pair_reference(self, kind):
+        # Cliques in any concept order read the canonical key of each pair.
+        rng = np.random.default_rng(41)
+        n = 7
+        pairs = (
+            itertools.combinations(range(n), 2) if kind.symmetric
+            else itertools.permutations(range(n), 2)
+        )
+        labels = {pair: int(rng.random() < 0.4) for pair in pairs}
+        cliques = [
+            tuple(int(c) for c in rng.permutation(triple))
+            for triple in itertools.combinations(range(n), 3)
+        ]
+        expected = [
+            (i, j, k) for i, j, k in cliques
+            if (
+                labels[canonical_pair(i, j, kind)],
+                labels[canonical_pair(j, k, kind)],
+                labels[canonical_pair(i, k, kind)],
+            ) in kind.zero_configurations
+        ]
+        assert expected
+        assert count_transitivity_violations(labels, cliques, kind) == (len(expected), expected)
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    @pytest.mark.parametrize("clique", [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    def test_self_pair_clique_is_rejected(self, kind, clique):
+        labels = {(i, j): 0 for i, j in itertools.permutations(range(2), 2)}
+        with pytest.raises(ValueError, match="self-pair"):
+            count_transitivity_violations(labels, [clique], kind)
+
     def test_cliques_among_requires_all_three_pairs(self):
         full = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
         assert cliques_among(full, EQ) == [(0, 1, 2)]

@@ -131,6 +131,25 @@ def log_odds(row):
     return row[..., 1] - row[..., 0]
 
 
+def reference_factor_round(graph, store, fresh_v2f):
+    """The broadcast form of the factor side, (3t,) in edge order.
+
+    Per target slot it scores every live configuration as
+    ``live_log + (d_a·s_a + d_b·s_b)`` in a (t, L) matrix and maxes the
+    columns of each target state; ``_factor_round`` must match it bit for bit.
+    """
+    d = fresh_v2f[store.num_variables:].reshape(-1, 3)
+    live = np.flatnonzero(graph.potential.table)
+    live_log = graph.log_table[live]
+    states = (live[:, None] >> np.array([2, 1, 0])) & 1
+    out = np.empty(d.shape, dtype=np.float64)
+    for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+        scores = live_log + (d[:, a, None] * states[:, a] + d[:, b, None] * states[:, b])
+        on = states[:, target] == 1
+        out[:, target] = scores[:, on].max(axis=1) - scores[:, ~on].max(axis=1)
+    return np.clip(out.ravel(), -MESSAGE_SPREAD_CAP, MESSAGE_SPREAD_CAP)
+
+
 def check_message_sanity(store):
     """Every message is a finite log-odds within the spread cap."""
     for name, block in (("var_to_factor", store.var_to_factor), ("factor_to_var", store.factor_to_var)):
@@ -191,6 +210,53 @@ class TestMessagePrimitives:
                 np.testing.assert_allclose(
                     _factor_round(store, store.var_to_factor), expected, rtol=0, atol=1e-12
                 )
+
+    @pytest.mark.parametrize("kind, weights", [
+        (EQ, None),
+        (EQ, (1.0, 1.0, 1.0, 1.0, 1.0)),
+        (PC, None),
+        (EQ, "random"),
+        (PC, "random"),
+    ])
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_factor_round_bitwise_equals_broadcast_reference(self, kind, weights, mode):
+        rng = np.random.default_rng(37)
+        if weights == "random":
+            weights = tuple(float(w) for w in 1.0 - rng.uniform(0.0, 0.95, kind.num_weights))
+        n = 8 if kind.symmetric else 6
+        every = list(
+            itertools.combinations(range(n), 2) if kind.symmetric
+            else itertools.permutations(range(n), 2)
+        )
+        pairs = every if mode == "dense" else [p for p in every if rng.random() < 0.6]
+        priors = {pair: float(rng.uniform(0.05, 0.95)) for pair in pairs}
+        potential = (
+            TernaryPotential.from_weights(kind, weights) if weights
+            else TernaryPotential.default(kind)
+        )
+        graph = build_factor_graph(_concepts(n), priors, potential, mode=mode)
+        assert graph.num_ternary_factors > 0
+        store = MessageStore.initial(graph)
+        # Each slot and target state lists its live configurations once.
+        for slot in store.plan:
+            assert sum(map(len, slot)) == np.count_nonzero(potential.table)
+        for _ in range(5):
+            jacobi_round(store, damping=0.5)
+            np.testing.assert_array_equal(
+                _factor_round(store, store.var_to_factor),
+                reference_factor_round(graph, store, store.var_to_factor),
+            )
+        # Incoming messages at and near the spread cap, with both signs.
+        cap = MESSAGE_SPREAD_CAP
+        below = np.nextafter(cap, 0)
+        near = np.array([cap, -cap, below, -below, cap - 1e-9, 1e-9 - cap, 0.0])
+        for _ in range(5):
+            fresh = rng.uniform(-cap, cap, store.var_to_factor.shape)
+            planted = rng.random(fresh.shape) < 0.5
+            fresh[planted] = rng.choice(near, planted.sum())
+            np.testing.assert_array_equal(
+                _factor_round(store, fresh), reference_factor_round(graph, store, fresh)
+            )
 
     def test_message_storage_covers_every_edge(self):
         graph = _graph({}, n=5, mode="dense")

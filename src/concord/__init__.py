@@ -25,7 +25,6 @@ from .inference import (
     greedy_repair,
     joint_log_score,
     lbp_map,
-    lbp_map_batch,
     prior_flips,
     violated_cliques,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "infer_partitions_parallel",
     "joint_log_score",
     "lbp_map",
-    "lbp_map_batch",
     "load_external_priors",
     "predict_prior",
     "prf1",

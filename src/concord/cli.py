@@ -63,7 +63,7 @@ _DEFAULTS: dict[str, dict] = {
     "tune": {
         "concepts": None, "priors": None, "gold": None,
         "relationship": "equivalence", "budget": 30, "seed": 0,
-        "tolerance": 1e-6, "default_prior": 0.01,
+        "tolerance": 1e-6,
     },
     "eval": {"predictions": None, "gold": None, "concepts": None,
              "relationship": "equivalence"},
@@ -123,7 +123,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--default-prior", dest="default_prior", type=float)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     common(p)
@@ -363,10 +362,7 @@ def _cmd_tune(cfg: SimpleNamespace) -> int:
     space = SearchSpace.default(kind)
 
     def build(potential: TernaryPotential):
-        return build_factor_graph(
-            concepts, priors, potential, mode="sparse",
-            default_prior=float(cfg.default_prior),
-        )
+        return build_factor_graph(concepts, priors, potential, mode="sparse")
 
     best, history = tune(
         space, build, gold,

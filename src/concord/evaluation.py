@@ -87,24 +87,25 @@ def count_transitivity_violations(
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Count cliques whose (x_ij, x_jk, x_ik) configuration is forbidden.
 
+    Each clique's code 4*x_ij + 2*x_jk + x_ik indexes ``kind.forbidden``.
     The pair keys are built inline as ``canonical_pair`` would build them;
     a clique that repeats a concept raises ``ValueError``.
     """
-    zeros = kind.zero_configurations
+    forbidden = kind.forbidden.tolist()
     symmetric = kind.symmetric
     violating = []
     for i, j, k in cliques:
         if i == j or j == k or i == k:
             raise ValueError(f"clique ({i}, {j}, {k}) has a self-pair, which is no variable")
         if symmetric:
-            cfg = (
-                labels[(i, j) if i < j else (j, i)],
-                labels[(j, k) if j < k else (k, j)],
-                labels[(i, k) if i < k else (k, i)],
+            code = (
+                4 * labels[(i, j) if i < j else (j, i)]
+                + 2 * labels[(j, k) if j < k else (k, j)]
+                + labels[(i, k) if i < k else (k, i)]
             )
         else:
-            cfg = (labels[i, j], labels[j, k], labels[i, k])
-        if cfg in zeros:
+            code = 4 * labels[i, j] + 2 * labels[j, k] + labels[i, k]
+        if forbidden[code]:
             violating.append((i, j, k))
     return len(violating), violating
 

@@ -16,7 +16,10 @@ finite.  A factor's message to one clique slot depends only on the states
 of the other two slots, whose incoming log-odds are d_a and d_b.  So per
 target state it is an elementwise max over at most four length-t vectors,
 w, w + d_a, w + d_b or w + (d_a + d_b), one per live configuration with
-log-potential w; the LOG_ZERO sentinel is read by scoring alone.
+log-potential w.  The live configurations are those the kind's
+``forbidden`` table leaves free; the audit, the joint score and the oracle
+read the same table, and a decode's ``violations`` are the concept triples
+of its broken cliques, as ``audit_labels`` of its label map finds them.
 
 Unary factors have degree one, so their outgoing message is pinned to the
 unary log-odds and is not damped; a graph without ternary factors therefore
@@ -43,12 +46,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .graph import FactorGraph
-from .model import (
-    LOG_ZERO,
-    LOG_ZERO_BOUND,
-    AssignmentGraph,
-    TernaryPotential,
-)
+from .model import LOG_ZERO, AssignmentGraph, TernaryPotential
 
 ORACLE_VARIABLE_CAP = 25
 _ORACLE_CHUNK = 1 << 16
@@ -157,11 +155,12 @@ _OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
 def _factor_plan(potential: TernaryPotential) -> tuple:
     """Per target slot and target state, the live ``(code, w)`` configurations."""
     log_table = potential.log_table()
+    forbidden = potential.kind.forbidden.tolist()
     plan = []
     for target, (a, b) in enumerate(_OTHER_SLOTS):
         by_state: tuple[list, list] = ([], [])
         for cfg in range(8):
-            if potential.table[cfg] == 0.0:
+            if forbidden[cfg]:
                 continue
             bits = ((cfg >> 2) & 1, (cfg >> 1) & 1, cfg & 1)
             by_state[bits[target]].append((2 * bits[a] + bits[b], float(log_table[cfg])))
@@ -235,11 +234,16 @@ def configuration_codes(labels: np.ndarray, triples: np.ndarray) -> np.ndarray:
 
 
 def violated_cliques(graph: FactorGraph, labels: np.ndarray) -> list[int]:
-    """Indices of ternary cliques whose configuration has zero potential."""
+    """Indices of ternary cliques whose configuration is forbidden."""
     if graph.num_ternary_factors == 0:
         return []
     codes = configuration_codes(np.asarray(labels, dtype=np.int64), graph.triples)
-    return np.flatnonzero(graph.log_table[codes] <= LOG_ZERO_BOUND).tolist()
+    return np.flatnonzero(graph.kind.forbidden[codes]).tolist()
+
+
+def _broken_triples(graph: FactorGraph, labels: np.ndarray) -> list[tuple[int, int, int]]:
+    """Concept triples (i, j, k) of the violated cliques, in clique order."""
+    return list(map(tuple, graph.triple_concepts[violated_cliques(graph, labels)].tolist()))
 
 
 def joint_log_score(graph: FactorGraph, labels: Sequence[int] | np.ndarray) -> float:
@@ -253,10 +257,10 @@ def joint_log_score(graph: FactorGraph, labels: Sequence[int] | np.ndarray) -> f
         raise ValueError("labels must be 0 or 1")
     total = float(np.take_along_axis(graph.unary_log, labels[:, None], axis=1).sum())
     if graph.num_ternary_factors:
-        values = graph.log_table[configuration_codes(labels, graph.triples)]
-        if (values <= LOG_ZERO_BOUND).any():
+        codes = configuration_codes(labels, graph.triples)
+        if graph.kind.forbidden[codes].any():
             return LOG_ZERO
-        total += float(values.sum())
+        total += float(graph.log_table[codes].sum())
     return total
 
 
@@ -379,13 +383,14 @@ def lbp_map(
     ``beliefs`` hands over the outcome of rounds already run on this graph
     by ``max_product_rounds``, which leaves only the read-out: labels,
     margins, score, audit and optional repair.  ``config`` is then unused.
+    ``violations`` are the concept triples of the broken cliques.
     """
     if beliefs is None:
         [beliefs] = max_product_rounds([graph], config)
     margins = beliefs.values
     labels = (margins > 0).astype(np.int64)
     score = joint_log_score(graph, labels)
-    violations = violated_cliques(graph, labels)
+    violations = _broken_triples(graph, labels)
     assignment = AssignmentGraph(
         kind=graph.kind,
         pairs=graph.pairs,
@@ -405,21 +410,9 @@ def lbp_map(
         }
         assignment.labels = repaired_labels
         assignment.log_score = joint_log_score(graph, repaired_labels)
-        assignment.violations = violated_cliques(graph, repaired_labels)
+        assignment.violations = _broken_triples(graph, repaired_labels)
         assignment.repaired = True
     return assignment
-
-
-def lbp_map_batch(
-    graphs: Sequence[FactorGraph],
-    config: LbpConfig | None = None,
-    repair: bool = False,
-) -> list[AssignmentGraph]:
-    """``lbp_map`` of each graph, bitwise, from one batched store of rounds."""
-    return [
-        lbp_map(graph, repair=repair, beliefs=beliefs)
-        for graph, beliefs in zip(graphs, max_product_rounds(graphs, config))
-    ]
 
 
 def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
@@ -440,6 +433,7 @@ def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
     shifts = (m - 1 - np.arange(m)).astype(np.uint64)  # variable 0 is the MSB
     triples = graph.triples
     log_table = graph.log_table
+    forbidden = graph.kind.forbidden
     best_code = 0
     best_score = -math.inf
     total = 1 << m
@@ -449,9 +443,8 @@ def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
         scores = bits @ gain + base
         if triples.shape[0]:
             cfg = 4 * bits[:, triples[:, 0]] + 2 * bits[:, triples[:, 1]] + bits[:, triples[:, 2]]
-            values = log_table[cfg]
             scores = np.where(
-                (values <= LOG_ZERO_BOUND).any(axis=1), LOG_ZERO, scores + values.sum(axis=1)
+                forbidden[cfg].any(axis=1), LOG_ZERO, scores + log_table[cfg].sum(axis=1)
             )
         pick = int(np.argmax(scores))
         if float(scores[pick]) > best_score:
@@ -463,7 +456,7 @@ def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
         pairs=graph.pairs,
         labels=labels,
         log_score=joint_log_score(graph, labels),
-        violations=violated_cliques(graph, labels),
+        violations=_broken_triples(graph, labels),
         iterations=None,
         converged=None,
     )

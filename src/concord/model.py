@@ -11,15 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Finite stand-in for log(0).  Only scoring arithmetic reads it: values at or
-# below LOG_ZERO_BOUND are hard zeros there, which keeps log-domain additions
-# saturating instead of overflowing to NaN.  Messages never carry it.
+# Finite stand-in for log(0): the log-potential of a forbidden configuration
+# in ``log_table()`` and the score of a labelling that breaks a clique.  Which
+# configurations are forbidden is read from ``RelationshipKind.forbidden``,
+# never from this value.  Messages never carry it.
 LOG_ZERO = -1e30
-LOG_ZERO_BOUND = -1e18
 
 # Priors are clamped into [PRIOR_EPSILON, 1 - PRIOR_EPSILON] before logs.
 PRIOR_EPSILON = 1e-6
@@ -55,13 +55,28 @@ class RelationshipKind(Enum):
         return frozenset({(1, 1, 0)})
 
     @property
+    def forbidden(self) -> np.ndarray:
+        """Read-only (8,) bool table, True at the code 4a + 2b + c of each
+        forbidden configuration (a, b, c); every transitivity check reads it."""
+        return _FORBIDDEN[self]
+
+    @property
     def free_configurations(self) -> tuple[tuple[int, int, int], ...]:
-        zeros = self.zero_configurations
-        return tuple(cfg for cfg in CONFIGURATIONS if cfg not in zeros)
+        return tuple(
+            cfg for cfg, zero in zip(CONFIGURATIONS, self.forbidden.tolist()) if not zero
+        )
 
     @property
     def num_weights(self) -> int:
         return len(self.free_configurations)
+
+
+# Derived once, at import, from the readable zero_configurations; an array
+# over immutable bytes is read-only.
+_FORBIDDEN: dict[RelationshipKind, np.ndarray] = {
+    kind: np.frombuffer(bytes(cfg in kind.zero_configurations for cfg in CONFIGURATIONS), bool)
+    for kind in RelationshipKind
+}
 
 
 def canonical_pair(left: int, right: int, kind: RelationshipKind) -> tuple[int, int]:
@@ -157,15 +172,12 @@ class TernaryPotential:
         table = tuple(float(v) for v in self.table)
         if len(table) != 8:
             raise ValueError(f"potential table must have 8 entries, got {len(table)}")
-        zeros = self.kind.zero_configurations
-        for cfg, value in zip(CONFIGURATIONS, table):
+        for cfg, value, zero in zip(CONFIGURATIONS, table, self.kind.forbidden.tolist()):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"potential entry for {cfg} must be finite and >= 0")
-            if cfg in zeros:
-                if value != 0.0:
-                    raise ValueError(f"configuration {cfg} must have zero potential")
-            elif value == 0.0:
-                raise ValueError(f"configuration {cfg} must have positive potential")
+            if zero != (value == 0.0):
+                need = "zero" if zero else "positive"
+                raise ValueError(f"configuration {cfg} must have {need} potential")
         object.__setattr__(self, "table", table)
 
     @classmethod
@@ -199,11 +211,10 @@ class TernaryPotential:
         return TernaryPotential(self.kind, tuple(v * factor for v in self.table))
 
     def log_table(self) -> np.ndarray:
-        out = np.full(8, LOG_ZERO, dtype=np.float64)
-        for idx, value in enumerate(self.table):
-            if value > 0.0:
-                out[idx] = math.log(value)
-        return out
+        return np.array([
+            LOG_ZERO if zero else math.log(value)
+            for value, zero in zip(self.table, self.kind.forbidden.tolist())
+        ])
 
 
 @dataclass
@@ -211,9 +222,11 @@ class AssignmentGraph:
     """Decoded labels for a graph plus score and audit metadata.
 
     ``pairs[i]`` is the concept pair of variable i and ``labels[i]`` its
-    decoded state.  ``violations`` lists offending ternary cliques: clique
-    indices for a single graph, concept triples from a global audit of the
-    merged labels for a partitioned run.
+    decoded state.  ``violations`` lists the concept triples (i, j, k) of
+    the cliques whose configuration is forbidden, in clique order, which is
+    what ``audit_labels`` of the label map reports: the graph's own cliques
+    for a single decode, a global audit of the merged labels for a
+    partitioned run.
     """
 
     kind: RelationshipKind

@@ -15,6 +15,7 @@ partition's result is bitwise that of decoding it alone.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -36,7 +37,6 @@ from .model import (
     Concept,
     PriorBelief,
     TernaryPotential,
-    canonical_pair,
     validate_vocabulary,
 )
 from .priors import _qgrams
@@ -166,6 +166,9 @@ def build_partitions(
         by_anchor.setdefault(pair[0], []).append(pair)
 
     neighbors = top_k_neighbors(_resolve_embeddings(concepts, embeddings), config.k)
+    # Closing pairs join two counterparts in both orders for parent-child.
+    closing = itertools.combinations if kind.symmetric else itertools.permutations
+    default = PriorBelief(config.default_prior)
 
     partitions: list[Partition] = []
     for anchor in sorted(by_anchor):
@@ -174,13 +177,7 @@ def build_partitions(
         # Closing a clique takes two anchored pairs, so only counterpart
         # concepts inside the top-k cut can induce extra variables.
         eligible = sorted({pair[1] for pair in anchored} & allowed)
-        member_pairs = set(anchored)
-        for i, a in enumerate(eligible):
-            for b in eligible[i + 1 :]:
-                member_pairs.add(canonical_pair(a, b, kind))
-                if not kind.symmetric:
-                    member_pairs.add(canonical_pair(b, a, kind))
-        default = PriorBelief(config.default_prior)
+        member_pairs = set(anchored).union(closing(eligible, 2))
         local_priors = {p: canon_priors.get(p, default) for p in member_pairs}
         graph = build_factor_graph(
             concepts, local_priors, potential, mode="sparse",

@@ -85,6 +85,13 @@ class TestConfigFile:
         assert main(["train-prior", "--config", str(cfg)]) == 2
         assert main(["infer", "--seed", "3"]) == 1  # no such flag
 
+    def test_tune_has_no_default_prior(self, tmp_path):
+        # tune builds a sparse graph, where every pair has a prior.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"default_prior": 0.5}))
+        assert main(["tune", "--config", str(cfg)]) == 2
+        assert main(["tune", "--default-prior", "0.5"]) == 1  # no such flag
+
     @pytest.mark.parametrize("override", [
         {"repair": "false"},   # bool("false") is True
         {"tolerance": "abc"},

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concord.errors import ConfigurationError
+from concord.evaluation import audit_labels
 from concord.graph import build_factor_graph
 from concord.inference import (
     MESSAGE_SPREAD_CAP,
+    Beliefs,
     LbpConfig,
     MessageStore,
+    _factor_plan,
     _factor_round,
     _variable_round,
     configuration_codes,
@@ -22,13 +25,13 @@ from concord.inference import (
     jacobi_round,
     joint_log_score,
     lbp_map,
-    lbp_map_batch,
+    max_product_rounds,
     prior_flips,
     violated_cliques,
 )
 from concord.model import (
+    CONFIGURATIONS,
     LOG_ZERO,
-    LOG_ZERO_BOUND,
     AssignmentGraph,
     Concept,
     RelationshipKind,
@@ -427,13 +430,66 @@ class TestScoring:
         assert prior_flips(graph, np.array([0, 1])) == [0, 1]
 
 
+class TestOneRule:
+    """Every transitivity check reads the kind's one forbidden table."""
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_table_agrees_with_zero_configurations_and_default(self, kind):
+        default = TernaryPotential.default(kind).table
+        for code, cfg in enumerate(CONFIGURATIONS):
+            zero = cfg in kind.zero_configurations
+            assert bool(kind.forbidden[code]) is zero, cfg
+            assert (default[code] == 0.0) is zero, cfg
+        assert not kind.forbidden.flags.writeable
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_factor_plan_leaves_out_forbidden(self, kind):
+        potential = TernaryPotential.default(kind)
+        log_table = potential.log_table()
+        free = {
+            code for code, cfg in enumerate(CONFIGURATIONS) if cfg not in kind.zero_configurations
+        }
+        for target, by_state in enumerate(_factor_plan(potential)):
+            others = [slot for slot in range(3) if slot != target]
+            planned = set()
+            for state, live in enumerate(by_state):
+                for code, w in live:
+                    bits = {target: state, others[0]: code >> 1, others[1]: code & 1}
+                    cfg = 4 * bits[0] + 2 * bits[1] + bits[2]
+                    assert w == log_table[cfg]
+                    planned.add(cfg)
+            assert planned == free, target
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_decode_audit_is_audit_labels(self, kind):
+        rng = np.random.default_rng(53)
+        potential = TernaryPotential.default(kind)
+        broken = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 8))
+            every = list(
+                itertools.combinations(range(n), 2) if kind.symmetric
+                else itertools.permutations(range(n), 2)
+            )
+            pairs = [pair for pair in every if rng.random() < 0.7] or every[:1]
+            priors = {pair: float(rng.uniform(0.02, 0.98)) for pair in pairs}
+            graph = build_factor_graph(_concepts(n), priors, potential, mode="sparse")
+            beliefs = Beliefs(rng.normal(size=graph.num_variables), 1, False)
+            decoded = lbp_map(graph, beliefs=beliefs)
+            expected = audit_labels(decoded.label_map(), kind)[1]
+            assert decoded.violations == expected
+            assert (joint_log_score(graph, decoded.labels) == LOG_ZERO) is bool(expected)
+            broken += bool(expected)
+        assert 0 < broken < 60
+
+
 class TestRepair:
     def test_repairs_single_violation(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
         labels, flips = greedy_repair(graph, np.array([1, 1, 0]))
         assert violated_cliques(graph, labels) == []
         assert len(flips) >= 1
-        assert joint_log_score(graph, labels) > LOG_ZERO_BOUND
+        assert joint_log_score(graph, labels) != LOG_ZERO
 
     def test_valid_input_is_untouched(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
@@ -511,6 +567,14 @@ def _random_potential(rng, kind):
     )
 
 
+def _decode_batch(graphs, config=None, repair=False):
+    """``lbp_map`` read-outs of one batched run of message rounds."""
+    return [
+        lbp_map(graph, repair=repair, beliefs=beliefs)
+        for graph, beliefs in zip(graphs, max_product_rounds(graphs, config))
+    ]
+
+
 def _assert_bitwise_equal(batched, alone):
     for field in dataclasses.fields(AssignmentGraph):
         got, want = getattr(batched, field.name), getattr(alone, field.name)
@@ -538,7 +602,7 @@ class TestBatchedDecoding:
             tolerance=float(rng.choice([0.0, 1e-6, 1e-2])),
         )
         repair = bool(rng.integers(2))
-        for batched, graph in zip(lbp_map_batch(graphs, config, repair), graphs, strict=True):
+        for batched, graph in zip(_decode_batch(graphs, config, repair), graphs, strict=True):
             _assert_bitwise_equal(batched, lbp_map(graph, config, repair))
 
     def test_batch_repairs_like_each_graph_alone(self):
@@ -547,7 +611,7 @@ class TestBatchedDecoding:
         potential = TernaryPotential.default(EQ)
         graphs = [_random_graph(rng, EQ, potential, shape) for shape in ["dense"] * 12 + ["unary"]]
         config = LbpConfig(max_iterations=1, tolerance=0.0)
-        batched = lbp_map_batch(graphs, config, repair=True)
+        batched = _decode_batch(graphs, config, repair=True)
         assert any(result.pre_repair for result in batched), "no violated decode planted"
         for result, graph in zip(batched, graphs, strict=True):
             _assert_bitwise_equal(result, lbp_map(graph, config, repair=True))
@@ -557,7 +621,7 @@ class TestBatchedDecoding:
         rng = np.random.default_rng(29)
         potential = TernaryPotential.default(EQ)
         graphs = [_random_graph(rng, EQ, potential, shape) for shape in ("unary", "dense", "sparse")]
-        batched = lbp_map_batch(graphs, LbpConfig())
+        batched = _decode_batch(graphs, LbpConfig())
         assert batched[0].iterations == 2  # unary-only: pinned, then still
         assert len({result.iterations for result in batched}) > 1
 
@@ -568,9 +632,9 @@ class TestBatchedDecoding:
             _graph({(0, 1): 0.9}, weights=CONFLICT_WEIGHTS),
         ]
         with pytest.raises(ConfigurationError, match="graph 2"):
-            lbp_map_batch(graphs)
+            _decode_batch(graphs)
         with pytest.raises(ConfigurationError):
-            lbp_map_batch([])
+            _decode_batch([])
 
 
 class TestExactOracle:

@@ -4,8 +4,9 @@ Candidate relationships (equivalence or parent-child) between schema
 concepts are modeled as binary variables in a factor graph whose ternary
 potentials reward transitive-consistent labelings.  Pairwise priors come
 from calibrated string features or external scores; decoding runs
-max-product belief propagation, exactly on small graphs, partitioned and
-batched into one message store on large ones.
+max-product belief propagation, on large vocabularies partitioned and
+batched into one message store.  The exhaustive ``exact_map_oracle`` is a
+reference for checking small decodes, not a decoding path.
 """
 
 from .errors import ConfigurationError, InputFormatError

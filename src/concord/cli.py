@@ -21,11 +21,12 @@ from types import SimpleNamespace
 from . import fileio
 from .errors import ConfigurationError, InputFormatError
 from .evaluation import generate_synthetic, prf1
-from .graph import all_pairs, build_factor_graph, count_graph_stats
+from .graph import DEFAULT_PRIOR_P_ONE, all_pairs, build_factor_graph, count_graph_stats
 from .inference import LbpConfig, lbp_map
 from .model import PriorBelief, RelationshipKind, TernaryPotential
 from .partition import PartitionConfig, build_partitions, infer_partitions_parallel
 from .priors import (
+    TEMPERATURE_GRID,
     LinearPriorModel,
     TrainConfig,
     calibrate_temperature,
@@ -49,117 +50,87 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_COMMON_DEFAULTS = {"config": None, "output": None}
-
-_DEFAULTS: dict[str, dict] = {
-    "stats": {"relationship": "equivalence", "n": None},
-    "infer": {
-        "concepts": None, "priors": None, "prior_model": None, "pairs": None,
-        "embeddings": None, "relationship": "equivalence", "mode": "dense",
-        "k": 8, "damping": 0.5, "max_iters": 200,
-        "tolerance": 1e-6, "repair": False, "default_prior": 0.01,
-        "weights": None,
-    },
-    "tune": {
-        "concepts": None, "priors": None, "gold": None,
-        "relationship": "equivalence", "budget": 30, "seed": 0,
-        "tolerance": 1e-6,
-    },
-    "eval": {"predictions": None, "gold": None, "concepts": None,
-             "relationship": "equivalence"},
-    "synth": {
-        "relationship": "equivalence", "n_concepts": 30, "n_clusters": None,
-        "n_roots": None, "noise": 0.1, "seed": 0, "pair_mode": "all",
-        "pairs_per_concept": 4, "positive_fraction": 0.05,
-        "split_fractions": "0.4,0.3,0.3", "outdir": None,
-    },
-    "train-prior": {
-        "concepts": None, "train": None, "validation": None, "embeddings": None,
-        "relationship": "equivalence", "learning_rate": 1.0, "epochs": 500,
-        "class_weights": True, "temperature_grid": "0.25,0.5,1,1.5,2,3,4",
-    },
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="concord", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="increase stderr logging (-v info, -vv debug)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def command(name: str, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON file of defaults for this command")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
+        p.add_argument("--relationship", choices=[kind.value for kind in RelationshipKind],
+                       default=RelationshipKind.EQUIVALENCE.value)
+        return p
 
-    p = sub.add_parser("stats", parents=[], help="closed-form dense graph sizes")
-    common(p)
+    p = command("stats", "closed-form dense graph sizes")
     p.add_argument("--n", type=int, help="number of concepts")
-    p.add_argument("--relationship", choices=["equivalence", "parent-child"])
 
-    p = sub.add_parser("infer", help="decode relationship labels for candidate pairs")
-    common(p)
+    p = command("infer", "decode relationship labels for candidate pairs")
     p.add_argument("--concepts", help="concepts CSV (id,name,values)")
     p.add_argument("--priors", help="priors CSV (left_id,right_id,p_one)")
     p.add_argument("--prior-model", dest="prior_model",
                    help="model JSON from train-prior, used instead of --priors")
     p.add_argument("--pairs", help="pair list CSV restricting --prior-model scoring")
     p.add_argument("--embeddings", help="embeddings CSV (id,v0,v1,...)")
-    p.add_argument("--relationship", choices=["equivalence", "parent-child"])
-    p.add_argument("--mode", choices=["dense", "partitioned"])
-    p.add_argument("--k", type=int, help="neighbors per anchor in partitioned mode")
-    p.add_argument("--damping", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--repair", action=argparse.BooleanOptionalAction)
-    p.add_argument("--default-prior", dest="default_prior", type=float)
+    p.add_argument("--mode", choices=["dense", "partitioned"], default="dense")
+    p.add_argument("--k", type=int, default=PartitionConfig.k,
+                   help="neighbors per anchor in partitioned mode")
+    p.add_argument("--damping", type=float, default=LbpConfig.damping)
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=LbpConfig.max_iterations)
+    p.add_argument("--tolerance", type=float, default=LbpConfig.tolerance)
+    p.add_argument("--repair", action=argparse.BooleanOptionalAction, default=False)
+    p.add_argument("--default-prior", dest="default_prior", type=float,
+                   default=DEFAULT_PRIOR_P_ONE)
     p.add_argument("--weights", help="comma-separated potential weights")
 
-    p = sub.add_parser("tune", help="search potential weights against validation gold")
-    common(p)
+    p = command("tune", "search potential weights against validation gold")
     p.add_argument("--concepts")
     p.add_argument("--priors", help="validation priors CSV")
     p.add_argument("--gold", help="validation labels CSV")
-    p.add_argument("--relationship", choices=["equivalence", "parent-child"])
-    p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--budget", type=int, default=30)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float, default=LbpConfig.tolerance)
 
-    p = sub.add_parser("eval", help="score predictions against gold labels")
-    common(p)
+    p = command("eval", "score predictions against gold labels")
     p.add_argument("--predictions", help="labels CSV or an infer report JSON")
     p.add_argument("--gold", help="gold labels CSV")
     p.add_argument("--concepts", help="optional concepts CSV for strict id checks")
-    p.add_argument("--relationship", choices=["equivalence", "parent-child"])
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled benchmark")
-    common(p)
-    p.add_argument("--relationship", choices=["equivalence", "parent-child"])
-    p.add_argument("--n-concepts", dest="n_concepts", type=int)
+    p = command("synth", "generate a synthetic labeled benchmark")
+    p.add_argument("--n-concepts", dest="n_concepts", type=int, default=30)
     p.add_argument("--n-clusters", dest="n_clusters", type=int)
     p.add_argument("--n-roots", dest="n_roots", type=int)
-    p.add_argument("--noise", type=float, help="prior flip probability")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pair-mode", dest="pair_mode", choices=["all", "sparse"])
-    p.add_argument("--pairs-per-concept", dest="pairs_per_concept", type=int)
-    p.add_argument("--positive-fraction", dest="positive_fraction", type=float)
-    p.add_argument("--split-fractions", dest="split_fractions",
+    p.add_argument("--noise", type=float, default=0.1, help="prior flip probability")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pair-mode", dest="pair_mode", choices=["all", "sparse"], default="all")
+    p.add_argument("--pairs-per-concept", dest="pairs_per_concept", type=int, default=4)
+    p.add_argument("--positive-fraction", dest="positive_fraction", type=float, default=0.05)
+    p.add_argument("--split-fractions", dest="split_fractions", default="0.4,0.3,0.3",
                    help="train,validation,test fractions, e.g. 0.4,0.3,0.3")
     p.add_argument("--outdir", help="directory for the generated CSV files")
 
-    p = sub.add_parser("train-prior", help="fit and calibrate the pairwise prior model")
-    common(p)
+    p = command("train-prior", "fit and calibrate the pairwise prior model")
     p.add_argument("--concepts")
     p.add_argument("--train", help="training labels CSV")
     p.add_argument("--validation", help="validation labels CSV for calibration")
     p.add_argument("--embeddings")
-    p.add_argument("--relationship", choices=["equivalence", "parent-child"])
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--class-weights", dest="class_weights",
-                   action=argparse.BooleanOptionalAction)
+                   action=argparse.BooleanOptionalAction, default=TrainConfig.class_weighted)
     p.add_argument("--temperature-grid", dest="temperature_grid",
+                   default=",".join(f"{t:g}" for t in TEMPERATURE_GRID),
                    help="comma-separated temperatures")
+
     parser.commands = sub.choices
+    for p in sub.choices.values():
+        # Keep the built-in defaults apart, so a flag left out parses as
+        # None and a --config value can sit between the two.
+        p.builtin = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+        p.set_defaults(**dict.fromkeys(p.builtin))
     return parser
 
 
@@ -179,8 +150,8 @@ def _config_value(path: str, flag: argparse.Action, value):
 def _resolve(parser: _Parser, args: argparse.Namespace) -> SimpleNamespace:
     """Layer CLI flags over --config file values over built-in defaults."""
     command = args.command
-    effective = dict(_COMMON_DEFAULTS) | dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
+    effective = dict(parser.commands[command].builtin)
+    if args.config:
         overrides = fileio.load_json(args.config)
         if not isinstance(overrides, dict):
             raise InputFormatError(args.config, None, "config file must hold a JSON object")
@@ -382,16 +353,19 @@ def _cmd_tune(cfg: SimpleNamespace) -> int:
 
 
 def _load_predictions(path: str, n: int, kind: RelationshipKind) -> dict[tuple[int, int], int]:
-    if path.endswith(".json"):
-        payload = fileio.load_json(path)
-        try:
-            rows = payload["assignments"]
-            return {
-                (int(row["left"]), int(row["right"])): int(row["label"]) for row in rows
-            }
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(path, None, f"not an infer report: {exc}")
-    return fileio.load_labels(path, n, kind)
+    """A labels CSV, or the assignment rows of an infer report JSON; both
+    take the labels file's row checks."""
+    if not path.endswith(".json"):
+        return fileio.load_labels(path, n, kind)
+    payload = fileio.load_json(path)
+    try:
+        rows = [
+            (None, [str(row[key]) for key in ("left", "right", "label")])
+            for row in payload["assignments"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise InputFormatError(path, None, f"not an infer report: {exc}")
+    return fileio.load_labels(path, n, kind, rows)
 
 
 def _cmd_eval(cfg: SimpleNamespace) -> int:

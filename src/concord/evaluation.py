@@ -145,10 +145,9 @@ _SYLLABLES_B = (
 class _WordPool:
     """Stream of distinct pseudo-words, order shuffled by the dataset RNG."""
 
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._base = [a + b for a, b in itertools.product(_SYLLABLES_A, _SYLLABLES_B)]
-        if rng is not None:
-            self._base = [self._base[i] for i in rng.permutation(len(self._base))]
+    def __init__(self, rng: np.random.Generator) -> None:
+        base = [a + b for a, b in itertools.product(_SYLLABLES_A, _SYLLABLES_B)]
+        self._base = [base[i] for i in rng.permutation(len(base))]
         self._cursor = 0
 
     def next(self) -> str:
@@ -173,9 +172,6 @@ class SyntheticDataset:
 
     def split_gold(self, name: str) -> dict[tuple[int, int], int]:
         return {pair: self.gold[pair] for pair in self.splits[name]}
-
-    def split_priors(self, name: str) -> dict[tuple[int, int], float]:
-        return {pair: self.priors[pair] for pair in self.splits[name]}
 
     def prior_argmax(self) -> dict[tuple[int, int], int]:
         return {pair: 1 if p > 0.5 else 0 for pair, p in self.priors.items()}

@@ -5,25 +5,30 @@ All CSV files are UTF-8 with a header row.  Formats:
     concepts.csv     id,name,values          values are '|'-separated, optional
     priors.csv       left_id,right_id,p_one
     labels.csv       left_id,right_id,label  label in {0, 1}
+    pairs.csv        left_id,right_id,...    extra columns ignored
     embeddings.csv   id,v0,v1,...            fixed dimension per file
+
+Priors, labels and pair lists are pair-keyed: each row goes through
+``read_pair_rows``, which applies the one pair rule of ``checked_pair``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputFormatError
-from .model import Concept, RelationshipKind, canonical_pair, validate_vocabulary
+from .errors import ConfigurationError, InputFormatError
+from .graph import checked_pair
+from .model import Concept, RelationshipKind, validate_vocabulary
 
 CONCEPTS_HEADER = ["id", "name", "values"]
 PRIORS_HEADER = ["left_id", "right_id", "p_one"]
 LABELS_HEADER = ["left_id", "right_id", "label"]
+PAIRS_HEADER = ["left_id", "right_id"]
 
 
 def read_csv_rows(path: str, expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -49,16 +54,16 @@ def read_csv_rows(path: str, expected_header: Sequence[str]) -> Iterator[tuple[i
             yield line, row
 
 
-def _parse_int(path: str, line: int, text: str, what: str) -> int:
+def _parse_int(path: str, line: int | None, text: str, what: str) -> int:
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError:
         raise InputFormatError(path, line, f"{what} must be an integer, got {text!r}")
 
 
-def _parse_float(path: str, line: int, text: str, what: str) -> float:
+def parse_float(path: str, line: int | None, text: str, what: str) -> float:
     try:
-        return float(text.strip())
+        return float(text)
     except ValueError:
         raise InputFormatError(path, line, f"{what} must be a number, got {text!r}")
 
@@ -83,50 +88,56 @@ def load_concepts(path: str) -> list[Concept]:
     return concepts
 
 
-def _check_pair(
-    path: str, line: int, left: int, right: int, n: int, kind: RelationshipKind
-) -> tuple[int, int]:
-    if not (0 <= left < n and 0 <= right < n):
-        raise InputFormatError(path, line, f"pair ({left}, {right}) references unknown concept ids")
-    if left == right:
-        raise InputFormatError(path, line, f"self-pair ({left}, {right}) is not allowed")
-    return canonical_pair(left, right, kind)
+def read_pair_rows(
+    path: str,
+    header: Sequence[str],
+    n_concepts: int,
+    kind: RelationshipKind,
+    rows: Iterable[tuple[int | None, list[str]]] | None = None,
+) -> Iterator[tuple[int | None, tuple[int, int], list[str]]]:
+    """Yield (line, canonical pair, row) for each row of a pair-keyed file.
+
+    The first two columns of ``header`` are the pair's ids.  Every row must
+    fill the header's width, its ids must be integers that ``checked_pair``
+    accepts, and no two rows may name the same canonical pair.  ``rows``
+    replaces the CSV rows of ``path`` with (line, cells) read elsewhere.
+    """
+    seen: set[tuple[int, int]] = set()
+    for line, row in read_csv_rows(path, header) if rows is None else rows:
+        if len(row) < len(header):
+            raise InputFormatError(path, line, f"expected {','.join(header)}")
+        left = _parse_int(path, line, row[0], header[0])
+        right = _parse_int(path, line, row[1], header[1])
+        try:
+            pair = checked_pair(left, right, n_concepts, kind)
+        except ConfigurationError as exc:
+            raise InputFormatError(path, line, str(exc)) from None
+        if pair in seen:
+            raise InputFormatError(path, line, f"duplicate pair {pair}")
+        seen.add(pair)
+        yield line, pair, row
 
 
 def load_labels(
-    path: str, n_concepts: int, kind: RelationshipKind
+    path: str,
+    n_concepts: int,
+    kind: RelationshipKind,
+    rows: Iterable[tuple[int | None, list[str]]] | None = None,
 ) -> dict[tuple[int, int], int]:
+    """Read a labels file into a 0/1 map keyed by canonical pair; ``rows``
+    as for ``read_pair_rows``."""
     labels: dict[tuple[int, int], int] = {}
-    for line, row in read_csv_rows(path, LABELS_HEADER):
-        if len(row) < 3:
-            raise InputFormatError(path, line, "expected left_id,right_id,label")
-        left = _parse_int(path, line, row[0], "left_id")
-        right = _parse_int(path, line, row[1], "right_id")
+    for line, pair, row in read_pair_rows(path, LABELS_HEADER, n_concepts, kind, rows):
         label = _parse_int(path, line, row[2], "label")
-        pair = _check_pair(path, line, left, right, n_concepts, kind)
         if label not in (0, 1):
             raise InputFormatError(path, line, f"label must be 0 or 1, got {label}")
-        if pair in labels:
-            raise InputFormatError(path, line, f"duplicate label for pair {pair}")
         labels[pair] = label
     return labels
 
 
 def load_pairs(path: str, n_concepts: int, kind: RelationshipKind) -> list[tuple[int, int]]:
     """Read the pair columns of a labels or priors file, ignoring extras."""
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for line, row in read_csv_rows(path, ["left_id", "right_id"]):
-        if len(row) < 2:
-            raise InputFormatError(path, line, "expected left_id,right_id")
-        left = _parse_int(path, line, row[0], "left_id")
-        right = _parse_int(path, line, row[1], "right_id")
-        pair = _check_pair(path, line, left, right, n_concepts, kind)
-        if pair in seen:
-            raise InputFormatError(path, line, f"duplicate pair {pair}")
-        seen.add(pair)
-        pairs.append(pair)
-    return pairs
+    return [pair for _, pair, _ in read_pair_rows(path, PAIRS_HEADER, n_concepts, kind)]
 
 
 def load_embeddings(path: str) -> dict[int, np.ndarray]:
@@ -137,7 +148,7 @@ def load_embeddings(path: str) -> dict[int, np.ndarray]:
             raise InputFormatError(path, line, "expected id followed by vector components")
         cid = _parse_int(path, line, row[0], "id")
         vec = np.array(
-            [_parse_float(path, line, cell, "vector component") for cell in row[1:]],
+            [parse_float(path, line, cell, "vector component") for cell in row[1:]],
             dtype=np.float64,
         )
         if dim is None:

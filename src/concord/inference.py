@@ -255,6 +255,12 @@ def joint_log_score(graph: FactorGraph, labels: Sequence[int] | np.ndarray) -> f
         )
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    return _score(graph, labels)
+
+
+def _score(graph: FactorGraph, labels: np.ndarray) -> float:
+    """``joint_log_score`` of int64 0/1 labels of the graph's shape, unchecked:
+    the decoders score labels they built themselves."""
     total = float(np.take_along_axis(graph.unary_log, labels[:, None], axis=1).sum())
     if graph.num_ternary_factors:
         codes = configuration_codes(labels, graph.triples)
@@ -274,23 +280,20 @@ def greedy_repair(
     graph: FactorGraph,
     labels: np.ndarray,
     margins: np.ndarray | None = None,
-    budget: int | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """Flip labels until no ternary clique is violated.
 
     Greedy phase: flip the lowest-margin variable appearing in a violated
-    clique, each variable at most once.  If violations survive the budget,
-    a demotion phase flips positive labels to 0 only; every forbidden
-    configuration contains a positive label and demotions strictly shrink
-    the positive set, so termination at a valid assignment is guaranteed
-    (the all-zero assignment is always valid).
+    clique, each variable at most once.  Once every variable of the violated
+    cliques has been flipped, a demotion phase flips positive labels to 0
+    only; every forbidden configuration contains a positive label and
+    demotions strictly shrink the positive set, so termination at a valid
+    assignment is guaranteed (the all-zero assignment is always valid).
     """
     labels = np.array(labels, dtype=np.int64, copy=True)
     m = graph.num_variables
     if margins is None:
         margins = graph.unary_log[:, 1] - graph.unary_log[:, 0]
-    if budget is None:
-        budget = 2 * m
     flipped_order: list[int] = []
     flipped: set[int] = set()
     for _ in range(4 * m + 8):
@@ -299,16 +302,13 @@ def greedy_repair(
             return labels, flipped_order
         candidates = np.unique(graph.triples[violations].ravel())
         fresh = [int(v) for v in candidates if v not in flipped]
-        if fresh and len(flipped_order) < budget:
+        if fresh:
             target = min(fresh, key=lambda v: (abs(float(margins[v])), v))
+            labels[target] ^= 1
         else:
             positives = [int(v) for v in candidates if labels[v] == 1]
             target = min(positives, key=lambda v: (abs(float(margins[v])), v))
             labels[target] = 0
-            flipped.add(target)
-            flipped_order.append(target)
-            continue
-        labels[target] ^= 1
         flipped.add(target)
         flipped_order.append(target)
     raise RuntimeError("repair failed to terminate")  # unreachable by construction
@@ -389,7 +389,7 @@ def lbp_map(
         [beliefs] = max_product_rounds([graph], config)
     margins = beliefs.values
     labels = (margins > 0).astype(np.int64)
-    score = joint_log_score(graph, labels)
+    score = _score(graph, labels)
     violations = _broken_triples(graph, labels)
     assignment = AssignmentGraph(
         kind=graph.kind,
@@ -409,7 +409,7 @@ def lbp_map(
             "flipped_variables": flips,
         }
         assignment.labels = repaired_labels
-        assignment.log_score = joint_log_score(graph, repaired_labels)
+        assignment.log_score = _score(graph, repaired_labels)
         assignment.violations = _broken_triples(graph, repaired_labels)
         assignment.repaired = True
     return assignment
@@ -455,7 +455,7 @@ def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
         kind=graph.kind,
         pairs=graph.pairs,
         labels=labels,
-        log_score=joint_log_score(graph, labels),
+        log_score=_score(graph, labels),
         violations=_broken_triples(graph, labels),
         iterations=None,
         converged=None,

@@ -179,10 +179,7 @@ def build_partitions(
         eligible = sorted({pair[1] for pair in anchored} & allowed)
         member_pairs = set(anchored).union(closing(eligible, 2))
         local_priors = {p: canon_priors.get(p, default) for p in member_pairs}
-        graph = build_factor_graph(
-            concepts, local_priors, potential, mode="sparse",
-            default_prior=config.default_prior,
-        )
+        graph = build_factor_graph(concepts, local_priors, potential, mode="sparse")
         partitions.append(Partition(anchor, tuple(anchored), graph))
     return partitions
 
@@ -217,9 +214,11 @@ def infer_partitions_parallel(
     All partitions run their message rounds together in one process, so no
     process pool starts; ``workers`` is validated but otherwise unread.
     Each partition's labels, margins and counts are bitwise those of
-    decoding it alone.  The merged ``violations`` are the concept triples
-    that a global audit of the merged labels finds broken; each partition
-    summary counts its own.
+    decoding it alone.  The merged ``log_score`` is the sum of the local
+    partition scores, each over its whole local graph; it is not the joint
+    score of the returned labels.  The merged ``violations`` are the
+    concept triples that a global audit of the merged labels finds broken;
+    each partition summary counts its own.
     """
     if not partitions:
         raise ConfigurationError("no partitions to infer")

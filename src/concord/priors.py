@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InputFormatError
-from .fileio import PRIORS_HEADER, read_csv_rows, _check_pair, _parse_float, _parse_int
+from .fileio import PRIORS_HEADER, parse_float, read_pair_rows
 from .model import Concept, PriorBelief, RelationshipKind
 
 FEATURE_NAMES = (
@@ -29,6 +29,9 @@ FEATURE_NAMES = (
 )
 
 QGRAM_SIZE = 3
+
+# Temperatures calibrate_temperature tries by default.
+TEMPERATURE_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 
@@ -289,7 +292,7 @@ def _nll(logits: np.ndarray, y: np.ndarray, temperature: float) -> float:
 def calibrate_temperature(
     model: LinearPriorModel,
     validation: Sequence[tuple[FeatureVector | np.ndarray, int]],
-    grid: Sequence[float] = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
+    grid: Sequence[float] = TEMPERATURE_GRID,
 ) -> LinearPriorModel:
     """Pick the grid temperature with the lowest validation NLL.
 
@@ -322,16 +325,9 @@ def load_external_priors(
     (i, j) and (j, i) is reported as a duplicate.
     """
     priors: dict[tuple[int, int], PriorBelief] = {}
-    for line, row in read_csv_rows(path, PRIORS_HEADER):
-        if len(row) < 3:
-            raise InputFormatError(path, line, "expected left_id,right_id,p_one")
-        left = _parse_int(path, line, row[0], "left_id")
-        right = _parse_int(path, line, row[1], "right_id")
-        p_one = _parse_float(path, line, row[2], "p_one")
-        pair = _check_pair(path, line, left, right, n_concepts, kind)
-        if not 0.0 <= p_one <= 1.0 or math.isnan(p_one):
+    for line, pair, row in read_pair_rows(path, PRIORS_HEADER, n_concepts, kind):
+        p_one = parse_float(path, line, row[2], "p_one")
+        if not 0.0 <= p_one <= 1.0:  # also rejects NaN
             raise InputFormatError(path, line, f"p_one must lie in [0, 1], got {p_one}")
-        if pair in priors:
-            raise InputFormatError(path, line, f"duplicate prior for pair {pair}")
         priors[pair] = PriorBelief(p_one)
     return priors

@@ -85,7 +85,7 @@ class SearchSpace:
             min(max(w, low), high)
             for w, (low, high) in zip(DEFAULT_WEIGHTS[self.kind], self.weight_ranges)
         )
-        return TrialConfig(self.kind, weights, damping=0.5, max_iterations=200)
+        return TrialConfig(self.kind, weights, LbpConfig.damping, LbpConfig.max_iterations)
 
     def sample(self, rng: np.random.Generator) -> TrialConfig:
         weights = tuple(
@@ -138,7 +138,7 @@ def evaluate_config(
     config: TrialConfig,
     graph: FactorGraph,
     gold: Mapping[tuple[int, int], int],
-    tolerance: float = 1e-6,
+    tolerance: float = LbpConfig.tolerance,
 ) -> float:
     """Decode ``graph`` under this configuration's potential and score F1.
 
@@ -162,7 +162,7 @@ def tune(
     budget: int,
     seed: int = 0,
     initial: TrialConfig | None = None,
-    tolerance: float = 1e-6,
+    tolerance: float = LbpConfig.tolerance,
 ) -> tuple[TrialRecord, list[TrialRecord]]:
     """Run ``budget`` trials and return (best record, full history).
 

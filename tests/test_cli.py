@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import concord
-from concord.cli import main
+from concord.cli import _build_parser, _parse_floats, main
+from concord.graph import DEFAULT_PRIOR_P_ONE
+from concord.inference import LbpConfig
+from concord.partition import PartitionConfig
+from concord.priors import TEMPERATURE_GRID, TrainConfig
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
 
@@ -120,6 +124,23 @@ class TestConfigFile:
         assert (echoed["damping"], echoed["max_iters"], echoed["repair"]) == (0.0, 50, True)
         assert isinstance(echoed["damping"], float)
         assert "k" not in echoed  # a dense run reads no neighbour count
+
+
+class TestBuiltinDefaults:
+    def test_library_settings_are_read_from_the_library(self):
+        builtin = {name: p.builtin for name, p in _build_parser().commands.items()}
+        lbp, train = LbpConfig(), TrainConfig()
+        assert builtin["infer"]["damping"] == lbp.damping
+        assert builtin["infer"]["max_iters"] == lbp.max_iterations
+        assert builtin["infer"]["tolerance"] == builtin["tune"]["tolerance"] == lbp.tolerance
+        assert builtin["infer"]["k"] == PartitionConfig().k
+        assert builtin["infer"]["default_prior"] == DEFAULT_PRIOR_P_ONE
+        assert builtin["train-prior"]["learning_rate"] == train.learning_rate
+        assert builtin["train-prior"]["epochs"] == train.epochs
+        assert builtin["train-prior"]["class_weights"] is train.class_weighted
+        grid = builtin["train-prior"]["temperature_grid"]
+        assert _parse_floats(grid, "grid") == TEMPERATURE_GRID
+        assert all(command["relationship"] == "equivalence" for command in builtin.values())
 
 
 class TestInferDense:
@@ -295,6 +316,45 @@ class TestEval:
             "eval", "--predictions", str(partial),
             "--gold", str(synth_dir / "labels.csv"),
         ]) == 2
+
+    def test_reversed_report_rows_score_as_the_csv(self, synth_dir, tmp_path, capsys):
+        # Equivalence pairs are unordered, so (j, i) names the pair (i, j).
+        lines = (synth_dir / "labels.csv").read_text().strip().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        report = tmp_path / "reversed.json"
+        report.write_text(json.dumps({"assignments": [
+            {"left": int(right), "right": int(left), "label": int(label)}
+            for left, right, label in rows
+        ]}))
+        scores = [
+            run(capsys, "eval", "--predictions", str(predictions),
+                "--gold", str(synth_dir / "test.csv"))
+            for predictions in (synth_dir / "labels.csv", report)
+        ]
+        assert scores[0][0] == scores[1][0] == 0
+        assert scores[0][1]["metrics"] == scores[1][1]["metrics"]
+        assert scores[1][1]["metrics"]["f1"] == 1.0
+
+    @pytest.mark.parametrize("broken", [
+        lambda rows: rows.append(dict(rows[0])),           # a repeated row
+        lambda rows: rows[0].update(label=2),
+        lambda rows: rows[0].update(left="x"),
+        lambda rows: rows[0].update(right=rows[0]["left"]),  # a self-pair
+    ], ids=["repeated-row", "label-2", "non-integer-id", "self-pair"])
+    def test_malformed_report_row_is_input_error(self, synth_dir, tmp_path, capsys, broken):
+        report_path = tmp_path / "infer.json"
+        assert main([
+            "infer", "--concepts", str(synth_dir / "concepts.csv"),
+            "--priors", str(synth_dir / "priors.csv"), "--output", str(report_path),
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        broken(report["assignments"])
+        report_path.write_text(json.dumps(report))
+        assert main([
+            "eval", "--predictions", str(report_path),
+            "--gold", str(synth_dir / "labels.csv"),
+        ]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_not_an_infer_report(self, synth_dir, tmp_path):
         bogus = tmp_path / "bogus.json"

@@ -99,11 +99,19 @@ class TestLabelsAndPairs:
         write_labels(path, {(0, 1): 1, (1, 2): 0})
         assert load_pairs(path, 3, EQ) == [(0, 1), (1, 2)]
 
-    def test_load_pairs_checks_ids(self, tmp_path):
+    @pytest.mark.parametrize("rows, message", [
+        ("0,9\n", "unknown concept"),
+        ("0\n", "expected left_id,right_id"),
+        ("0,1\n1,0\n", "duplicate pair"),  # one pair after canonicalization
+        ("2,2\n", "self-pair"),
+        ("0,x\n", "right_id must be an integer"),
+    ], ids=["unknown-id", "short-row", "repeated-pair", "self-pair", "non-integer-id"])
+    def test_load_pairs_checks_rows(self, tmp_path, rows, message):
         path = tmp_path / "pairs.csv"
-        path.write_text("left_id,right_id\n0,9\n")
-        with pytest.raises(InputFormatError, match="unknown concept"):
+        path.write_text("left_id,right_id\n" + rows)
+        with pytest.raises(InputFormatError, match=message) as err:
             load_pairs(str(path), 3, EQ)
+        assert err.value.line == rows.count("\n") + 1
 
 
 class TestPriorsFile:

@@ -497,13 +497,15 @@ class TestRepair:
         assert labels.tolist() == [0, 0, 0]
         assert flips == []
 
-    def test_zero_budget_falls_back_to_demotion(self):
-        graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
-        labels, flips = greedy_repair(graph, np.array([1, 1, 0]), budget=0)
-        assert violated_cliques(graph, labels) == []
-        # Demotion only ever turns positives off.
-        assert (labels <= np.array([1, 1, 0])).all()
-        assert flips
+    def test_demotion_once_every_candidate_was_flipped(self):
+        # Four concepts: the greedy flips leave variable 0 in a violated
+        # clique after every candidate has had its flip, so it is demoted.
+        graph = _graph({pair: 0.5 for pair in itertools.combinations(range(4), 2)})
+        labels = np.array([0, 0, 1, 1, 0, 1])
+        repaired, flips = greedy_repair(graph, labels, margins=np.arange(1, 7) / 10)
+        assert violated_cliques(graph, repaired) == []
+        assert flips == [1, 0, 2, 3, 5, 0]
+        assert repaired.tolist() == [0, 1, 0, 0, 0, 0]
 
     def test_dense_random_repairs_terminate_valid(self):
         rng = np.random.default_rng(17)

@@ -1,5 +1,7 @@
 """Random-search tuning: space validation, trial mechanics, objective wiring."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,13 @@ class TestSearchSpace:
             for w, (low, high) in zip(config.weights, space.weight_ranges):
                 assert low <= w <= high
             assert config.potential().kind is kind
+
+    def test_lbp_defaults_come_from_lbp_config(self):
+        lbp = LbpConfig()
+        config = SearchSpace.default(EQ).default_config()
+        assert (config.damping, config.max_iterations) == (lbp.damping, lbp.max_iterations)
+        for function in (tune, evaluate_config):
+            assert inspect.signature(function).parameters["tolerance"].default == lbp.tolerance
 
     @settings(max_examples=60)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -19,7 +19,10 @@ from .evaluation import (
     generate_synthetic,
     prf1,
 )
-from .graph import FactorGraph, build_factor_graph, count_graph_stats, enumerate_ternary_cliques
+from .graph import (
+    FactorGraph, PriorTable, build_factor_graph, count_graph_stats, enumerate_ternary_cliques,
+    prior_table,
+)
 from .inference import (
     LbpConfig,
     exact_map_oracle,
@@ -77,6 +80,7 @@ __all__ = [
     "Partition",
     "PartitionConfig",
     "PriorBelief",
+    "PriorTable",
     "RelationshipKind",
     "SearchSpace",
     "SyntheticDataset",
@@ -105,6 +109,7 @@ __all__ = [
     "predict_prior",
     "prf1",
     "prior_flips",
+    "prior_table",
     "top_k_neighbors",
     "train_linear_prior",
     "trigram_embeddings",

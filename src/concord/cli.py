@@ -166,7 +166,7 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> SimpleNamespace:
             if value is not None or effective[key] is not None:
                 effective[key] = _config_value(args.config, flags[key], value)
     for key, value in vars(args).items():
-        if key in ("command", "verbose", "config"):
+        if key in ("command", "verbose"):
             continue
         if value is not None and key in effective:
             effective[key] = value
@@ -214,6 +214,8 @@ def _cmd_stats(cfg: SimpleNamespace) -> int:
 def _load_prior_map(cfg: SimpleNamespace, concepts, kind) -> dict[tuple[int, int], PriorBelief]:
     n = len(concepts)
     if cfg.priors:
+        if cfg.prior_model or cfg.pairs:
+            raise _UsageError("infer: --priors excludes --prior-model and --pairs")
         return load_external_priors(cfg.priors, n, kind)
     if not cfg.prior_model:
         raise _UsageError("infer: provide either --priors or --prior-model")

@@ -10,8 +10,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import all_pairs, enumerate_ternary_cliques
-from .model import Concept, RelationshipKind
+from .graph import Cliques, all_pairs, enumerate_ternary_cliques
+from .model import Concept, RelationshipKind, canonical_pair
 
 PairLabels = Mapping[tuple[int, int], int]
 
@@ -87,41 +87,44 @@ def count_transitivity_violations(
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Count cliques whose (x_ij, x_jk, x_ik) configuration is forbidden.
 
-    Each clique's code 4*x_ij + 2*x_jk + x_ik indexes ``kind.forbidden``.
-    The pair keys are built inline as ``canonical_pair`` would build them;
-    a clique that repeats a concept raises ``ValueError``.
+    The scalar audit of any cliques: each clique's code 4*x_ij + 2*x_jk +
+    x_ik, read under ``canonical_pair`` keys, indexes ``kind.forbidden``.
+    A clique that repeats a concept raises ``ValueError``.
     """
-    forbidden = kind.forbidden.tolist()
-    symmetric = kind.symmetric
-    violating = []
-    for i, j, k in cliques:
-        if i == j or j == k or i == k:
-            raise ValueError(f"clique ({i}, {j}, {k}) has a self-pair, which is no variable")
-        if symmetric:
-            code = (
-                4 * labels[(i, j) if i < j else (j, i)]
-                + 2 * labels[(j, k) if j < k else (k, j)]
-                + labels[(i, k) if i < k else (k, i)]
-            )
-        else:
-            code = 4 * labels[i, j] + 2 * labels[j, k] + labels[i, k]
-        if forbidden[code]:
-            violating.append((i, j, k))
+    violating = [
+        (i, j, k) for i, j, k in cliques
+        if kind.forbidden[
+            4 * labels[canonical_pair(i, j, kind)]
+            + 2 * labels[canonical_pair(j, k, kind)]
+            + labels[canonical_pair(i, k, kind)]
+        ]
+    ]
     return len(violating), violating
 
 
-def cliques_among(labels: PairLabels, kind: RelationshipKind) -> list[tuple[int, int, int]]:
-    """Concept triples whose three pairs are all present in the label map.
+def cliques_among(labels: PairLabels, kind: RelationshipKind) -> Cliques:
+    """Concept triples whose three pairs are all keys of the label map.
 
-    The label map's keys are already canonical for ``kind``, so the walk
-    itself needs no kind.
+    A clique's variables are the positions of its pairs in the map's
+    iteration order.  The keys are already canonical for ``kind``, so the
+    walk itself needs no kind.
     """
-    return enumerate_ternary_cliques(labels)
+    pairs = np.fromiter(itertools.chain.from_iterable(labels), np.int64, 2 * len(labels))
+    n = int(pairs.max(initial=-1)) + 1
+    codes = pairs[0::2] * n + pairs[1::2]
+    order = codes.argsort()
+    cliques = enumerate_ternary_cliques(codes[order], n)
+    return Cliques(cliques.concepts, order[cliques.variables])
 
 
 def audit_labels(labels: PairLabels, kind: RelationshipKind) -> tuple[int, list]:
-    """Transitivity audit over every clique closable from the label map."""
-    return count_transitivity_violations(labels, cliques_among(labels, kind), kind)
+    """Transitivity audit over every clique closable from the label map:
+    ``count_transitivity_violations`` over ``cliques_among``, on arrays."""
+    cliques = cliques_among(labels, kind)
+    x = np.fromiter(labels.values(), np.int8, len(labels))[cliques.variables]
+    broken = kind.forbidden[4 * x[:, 0] + 2 * x[:, 1] + x[:, 2]]
+    violating = list(map(tuple, cliques.concepts[broken].tolist()))
+    return len(violating), violating
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,24 @@ pair), their unary log priors and one row per ternary clique, under a
 shared potential that swaps without a rebuild.  A clique over concepts
 (i, j, k) stores its variables in slot order (x_ij, x_jk, x_ik), matching
 the potential table's configuration index 4*x_ij + 2*x_jk + x_ik.
+
+Pairs travel as int64 codes ``left * n + right``: a ``PriorTable`` holds
+the checked priors of a vocabulary that way, and one vectorized walk over
+sorted codes finds the cliques for graph builds and label audits alike.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import (
+    PRIOR_EPSILON,
     Concept,
     PriorBelief,
     RelationshipKind,
@@ -67,31 +74,70 @@ class FactorGraph:
         return 1 + np.bincount(self.triples.ravel(), minlength=self.num_variables)
 
 
-def enumerate_ternary_cliques(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """Concept triples (i, j, k) whose pairs (i, j), (j, k) and (i, k) are all present.
+# About how many (ij, jk) pairings the clique walk tests at once, which
+# bounds its scratch arrays on large graphs.
+_WALK_STEP = 1 << 14
 
-    Triples come in lexicographic order and follow the chain pattern
-    i->j, j->k, i->k over distinct concepts.  Equivalence pairs are
+
+@dataclass(frozen=True, eq=False)
+class Cliques:
+    """Ternary cliques as (t, 3) rows: concept triples (i, j, k) and their
+    variables in slot order (ij, jk, ik).  Iterating yields the triples."""
+
+    concepts: np.ndarray
+    variables: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.concepts)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return map(tuple, self.concepts.tolist())
+
+
+def enumerate_ternary_cliques(codes: np.ndarray, n: int) -> Cliques:
+    """Concept triples (i, j, k) whose pairs (i, j), (j, k) and (i, k) are all in ``codes``.
+
+    ``codes`` holds distinct pairs as ``left * n + right`` in ascending
+    order, and a clique's variables are the positions of its three pairs
+    there.  Triples come in lexicographic order and follow the chain
+    pattern i->j, j->k, i->k over distinct concepts.  Equivalence pairs are
     canonical (i < j), so there every triple has i < j < k.
     """
-    present = set(pairs)
-    ordered = sorted(present)
-    onward: dict[int, list[int]] = {}
-    for i, j in ordered:
-        onward.setdefault(i, []).append(j)
-    return [
-        (i, j, k)
-        for i, j in ordered
-        for k in onward.get(j, ())
-        if k != i and (i, k) in present
-    ]
+    codes = np.asarray(codes, dtype=np.int64)
+    left = codes // n
+    right = codes - left * n
+    # Pair p = (i, j) meets the counts[p] onward pairs (j, k), the codes in
+    # [j * n, (j + 1) * n) from position onward[p].  Counted over all pairs,
+    # pairing c of pair p is with the onward pair at shift[p] + c.
+    onward = codes.searchsorted(right * n)
+    counts = codes.searchsorted(right * n + n) - onward
+    ends = counts.cumsum()
+    shift = onward + counts - ends
+    steps = range(_WALK_STEP, int(ends[-1]) if len(ends) else 0, _WALK_STEP)
+    cuts = sorted({0, len(codes), *ends.searchsorted(steps).tolist()})
+    found = []
+    for start, stop in zip(cuts, cuts[1:]):
+        ij = np.arange(start, stop).repeat(counts[start:stop])
+        jk = np.arange(ends[start] - counts[start], ends[stop - 1]) + shift[ij]
+        # k == i would be a self-pair, which is never a code.
+        ik_code = left[ij] * n + right[jk]
+        ik = codes.searchsorted(ik_code)
+        closed = (codes.take(ik, mode="clip") == ik_code).nonzero()[0]
+        found.append(np.array([ij[closed], jk[closed], ik[closed]]))
+    variables = np.concatenate(found, axis=1) if found else np.empty((3, 0), dtype=np.int64)
+    ij, jk, _ = variables
+    return Cliques(np.array([left[ij], right[ij], right[jk]]).T, variables.T)
+
+
+def _all_codes(n: int, kind: RelationshipKind) -> np.ndarray:
+    """Codes ``left * n + right`` of every canonical pair over n concepts, ascending."""
+    left, right = np.triu_indices(n, 1) if kind.symmetric else np.nonzero(~np.eye(n, dtype=bool))
+    return left * n + right
 
 
 def all_pairs(n: int, kind: RelationshipKind) -> list[tuple[int, int]]:
     """Every canonical pair over n concepts, in sorted order."""
-    if kind.symmetric:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+    return [divmod(code, n) for code in _all_codes(n, kind).tolist()]
 
 
 def checked_pair(
@@ -108,69 +154,127 @@ def checked_pair(
     return pair
 
 
-def canonical_priors(
-    priors: Mapping[tuple[int, int], PriorBelief | float], n: int, kind: RelationshipKind
-) -> dict[tuple[int, int], PriorBelief]:
-    """Key each prior by its canonical pair and wrap bare floats as beliefs.
+def checked_codes(
+    pairs: Collection[tuple[int, int]], n: int, kind: RelationshipKind, role: str = "pair"
+) -> np.ndarray:
+    """Canonical codes ``left * n + right`` of the pairs, in their order:
+    ``checked_pair``'s rule for all at once, raising for the first it rejects."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    pairs = flat.reshape(-1, 2)
+    left, right = pairs.T
+    rejected = (left == right) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if rejected.any():
+        checked_pair(*pairs[rejected.argmax()].tolist(), n, kind, role)  # raises
+    if kind.symmetric:
+        left, right = np.minimum(left, right), np.maximum(left, right)
+    return left * n + right
 
-    Self-pairs, ids outside 0..n-1 and two entries that name the same
-    canonical pair raise ConfigurationError.
+
+@dataclass(frozen=True, eq=False)
+class PriorTable:
+    """Checked priors: distinct canonical pairs as ascending codes
+    ``left * n + right``, and per pair its row (log p_zero, log p_one),
+    clamped as ``PriorBelief`` clamps.  Both arrays are made read-only.
+    ``prior_table`` checks a prior map into a table; the constructor
+    trusts its arguments."""
+
+    n: int
+    kind: RelationshipKind
+    codes: np.ndarray      # (m,) int64
+    unary_log: np.ndarray  # (m, 2) float64
+
+    def __post_init__(self) -> None:
+        self.codes.flags.writeable = self.unary_log.flags.writeable = False
+
+    def select(self, codes: np.ndarray, default_prior: float) -> "PriorTable":
+        """The table over ``codes``, ascending canonical pair codes: a pair
+        listed here keeps its row, any other takes ``default_prior``."""
+        codes = np.array(codes, dtype=np.int64)
+        rows = self.codes.searchsorted(codes)
+        listed = rows < len(self.codes)
+        listed[listed] = self.codes[rows[listed]] == codes[listed]
+        unary_log = np.empty((len(codes), 2))
+        unary_log[:] = PriorBelief(default_prior).log_potentials()
+        unary_log[listed] = self.unary_log[rows[listed]]
+        return PriorTable(self.n, self.kind, codes, unary_log)
+
+
+def prior_table(
+    priors: Mapping[tuple[int, int], PriorBelief | float], n: int, kind: RelationshipKind
+) -> PriorTable:
+    """Check a prior map once and key it by canonical pair code.
+
+    A self-pair, an id outside 0..n-1 (``checked_pair``'s rule) and two
+    entries that name one canonical pair raise ConfigurationError; a
+    probability outside [0, 1] or NaN raises ``PriorBelief``'s ValueError.
+    Pair faults are reported first, then repeats, then probabilities.
     """
-    canon: dict[tuple[int, int], PriorBelief] = {}
-    for (left, right), value in priors.items():
-        pair = checked_pair(left, right, n, kind, "prior pair")
-        if pair in canon:
-            raise ConfigurationError(f"duplicate prior for pair {pair}")
-        canon[pair] = value if isinstance(value, PriorBelief) else PriorBelief(float(value))
-    return canon
+    codes = checked_codes(priors, n, kind, "prior pair")
+    p_one = np.array(
+        [v.p_one if isinstance(v, PriorBelief) else float(v) for v in priors.values()], float
+    )
+    order = codes.argsort(kind="stable")
+    codes, p_one = codes[order], p_one[order]
+    repeated = (codes[1:] == codes[:-1]).nonzero()[0]
+    if repeated.size:
+        raise ConfigurationError(f"duplicate prior for pair {divmod(int(codes[repeated[0]]), n)}")
+    outside = (~((p_one >= 0.0) & (p_one <= 1.0))).nonzero()[0]  # NaN is outside too
+    if outside.size:
+        PriorBelief(float(p_one[outside[0]]))  # raises
+    # Clamped and logged as PriorBelief does, so the rows are bitwise its
+    # log_potentials(): np.log can differ from math.log in the last bit.
+    p_one = np.minimum(np.maximum(p_one, PRIOR_EPSILON), 1.0 - PRIOR_EPSILON)
+    unary_log = np.empty((len(p_one), 2))
+    for state, p in enumerate((1.0 - p_one, p_one)):
+        unary_log[:, state] = np.fromiter(map(math.log, p.tolist()), float, len(p))
+    return PriorTable(n, kind, codes, unary_log)
 
 
 def build_factor_graph(
     concepts: Sequence[Concept],
-    priors: Mapping[tuple[int, int], PriorBelief | float],
+    priors: PriorTable | Mapping[tuple[int, int], PriorBelief | float],
     potential: TernaryPotential,
     mode: str = "dense",
     default_prior: float = DEFAULT_PRIOR_P_ONE,
 ) -> FactorGraph:
     """Assemble a factor graph over the vocabulary.
 
-    dense mode creates a variable for every concept pair, falling back to
-    ``default_prior`` for pairs missing from ``priors``.  sparse mode
-    creates variables only for the listed pairs.
+    ``priors`` is a ``PriorTable`` of this vocabulary, taken as it is, or a
+    prior map, which ``prior_table`` checks first.  dense mode creates a
+    variable for every concept pair, falling back to ``default_prior`` for
+    pairs without a prior.  sparse mode creates variables only for the
+    listed pairs.
     """
-    n = validate_vocabulary(concepts)
     kind = potential.kind
+    if isinstance(priors, PriorTable):
+        n = priors.n
+        if len(concepts) != n or priors.kind is not kind:
+            raise ConfigurationError(
+                f"prior table is for {n} {priors.kind.value} concepts, "
+                f"the graph for {len(concepts)} {kind.value} concepts"
+            )
+    else:
+        n = validate_vocabulary(concepts)
     if n < 2:
         raise ConfigurationError("need at least 2 concepts to build a graph")
-    canon = canonical_priors(priors, n, kind)
+    table = priors if isinstance(priors, PriorTable) else prior_table(priors, n, kind)
 
     if mode == "dense":
-        pairs = all_pairs(n, kind)
+        table = table.select(_all_codes(n, kind), default_prior)
     elif mode == "sparse":
-        if not canon:
+        if not len(table.codes):
             raise ConfigurationError("sparse mode needs a non-empty prior map")
-        pairs = sorted(canon)
     else:
         raise ConfigurationError(f"unknown graph mode {mode!r}")
 
-    default = PriorBelief(default_prior)
-    unary_log = np.array(
-        [canon.get(pair, default).log_potentials() for pair in pairs], dtype=np.float64
-    )
-
-    triple_concepts = np.array(enumerate_ternary_cliques(pairs), dtype=np.int64).reshape(-1, 3)
-    # Both modes list pairs in sorted order, so a pair's variable id is the
-    # rank of its code left * n + right.
-    codes = np.array(pairs, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
-    i, j, k = triple_concepts.T
-    triples = np.searchsorted(codes, np.stack([i * n + j, j * n + k, i * n + k], axis=1))
-
+    # A pair's variable id is the rank of its code.
+    cliques = enumerate_ternary_cliques(table.codes, n)
     return FactorGraph(
         n_concepts=n,
-        pairs=tuple(pairs),
-        unary_log=unary_log,
-        triples=triples,
-        triple_concepts=triple_concepts,
+        pairs=tuple(divmod(code, n) for code in table.codes.tolist()),
+        unary_log=table.unary_log,
+        triples=cliques.variables,
+        triple_concepts=cliques.concepts,
         potential=potential,
     )
 

@@ -27,9 +27,10 @@ from .evaluation import audit_labels
 from .graph import (
     DEFAULT_PRIOR_P_ONE,
     FactorGraph,
+    PriorTable,
     build_factor_graph,
-    canonical_priors,
-    checked_pair,
+    checked_codes,
+    prior_table,
 )
 from .inference import Beliefs, LbpConfig, lbp_map, max_product_rounds
 from .model import (
@@ -39,7 +40,7 @@ from .model import (
     TernaryPotential,
     validate_vocabulary,
 )
-from .priors import _qgrams
+from .priors import qgrams
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +77,7 @@ def trigram_embeddings(concepts: Sequence[Concept]) -> np.ndarray:
     Row i is the vector of concept id i.
     """
     n = validate_vocabulary(concepts)
-    grams_per_concept = [_qgrams(c.name.lower()) for c in concepts]
+    grams_per_concept = [qgrams(c.name.lower()) for c in concepts]
     vocab = sorted({g for grams in grams_per_concept for g in grams})
     index = {g: i for i, g in enumerate(vocab)}
     df = np.zeros(len(vocab), dtype=np.float64)
@@ -153,34 +154,43 @@ def build_partitions(
     """Group pairs by left concept and build each anchor's local graph.
 
     A self-pair or an unknown id in ``pairs`` raises ConfigurationError;
-    two orientations of one symmetric pair name the same pair.
+    two orientations of one symmetric pair name the same pair.  The priors
+    are checked once into a ``PriorTable``, and each local graph takes its
+    slice of that table.
     """
     n = validate_vocabulary(concepts)
     kind = potential.kind
     if not pairs:
         raise ConfigurationError("cannot partition an empty pair list")
-    canon_priors = canonical_priors(priors, n, kind)
-    test_pairs = sorted({checked_pair(left, right, n, kind) for left, right in pairs})
-    by_anchor: dict[int, list[tuple[int, int]]] = {}
-    for pair in test_pairs:
-        by_anchor.setdefault(pair[0], []).append(pair)
-
+    table = prior_table(priors, n, kind)
+    test_codes = np.array(sorted(set(checked_codes(pairs, n, kind).tolist())))
+    anchors, counterparts = np.divmod(test_codes, n)
     neighbors = top_k_neighbors(_resolve_embeddings(concepts, embeddings), config.k)
+    # Closing a clique takes two anchored pairs, so only counterpart
+    # concepts inside the top-k cut can induce extra variables.
+    inside = (neighbors[anchors] == counterparts[:, None]).any(axis=1)
+    bounds = np.flatnonzero(np.diff(anchors)) + 1
+    heads = anchors[np.r_[0, bounds]].tolist()
+    anchored = np.split(counterparts, bounds)
     # Closing pairs join two counterparts in both orders for parent-child.
     closing = itertools.combinations if kind.symmetric else itertools.permutations
-    default = PriorBelief(config.default_prior)
+    members = [
+        sorted([anchor * n + right for right in rights.tolist()]
+               + [a * n + b for a, b in closing(rights[cut].tolist(), 2)])
+        for anchor, rights, cut in zip(heads, anchored, np.split(inside, bounds))
+    ]
+    # One lookup slices the table for every partition.
+    local = table.select(
+        np.fromiter(itertools.chain.from_iterable(members), np.int64), config.default_prior
+    )
+    stops = np.cumsum([len(member) for member in members]).tolist()
 
     partitions: list[Partition] = []
-    for anchor in sorted(by_anchor):
-        anchored = by_anchor[anchor]
-        allowed = set(neighbors[anchor].tolist())
-        # Closing a clique takes two anchored pairs, so only counterpart
-        # concepts inside the top-k cut can induce extra variables.
-        eligible = sorted({pair[1] for pair in anchored} & allowed)
-        member_pairs = set(anchored).union(closing(eligible, 2))
-        local_priors = {p: canon_priors.get(p, default) for p in member_pairs}
-        graph = build_factor_graph(concepts, local_priors, potential, mode="sparse")
-        partitions.append(Partition(anchor, tuple(anchored), graph))
+    for anchor, rights, start, stop in zip(heads, anchored, [0, *stops], stops):
+        part = PriorTable(n, kind, local.codes[start:stop], local.unary_log[start:stop])
+        graph = build_factor_graph(concepts, part, potential, mode="sparse")
+        test_pairs = tuple(zip(itertools.repeat(anchor), rights.tolist()))
+        partitions.append(Partition(anchor, test_pairs, graph))
     return partitions
 
 

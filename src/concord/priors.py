@@ -72,7 +72,7 @@ def _tokens(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text) if t]
 
 
-def _qgrams(text: str, q: int = QGRAM_SIZE) -> list[str]:
+def qgrams(text: str, q: int = QGRAM_SIZE) -> list[str]:
     """Character q-grams of an already lower-cased name, in order; a name
     shorter than q is its own single gram."""
     if len(text) < q:
@@ -162,7 +162,7 @@ def extract_features(
         embedding_cosine = _cosine(embeddings[a.id], embeddings[b.id])
 
     return FeatureVector(
-        qgram_similarity=_jaccard(frozenset(_qgrams(name_a)), frozenset(_qgrams(name_b))),
+        qgram_similarity=_jaccard(frozenset(qgrams(name_a)), frozenset(qgrams(name_b))),
         token_jaccard=_jaccard(set(tokens_a), set(tokens_b)),
         edit_similarity=edit_sim,
         word_count_ratio=_ratio(len(tokens_a), len(tokens_b)),

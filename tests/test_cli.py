@@ -64,6 +64,14 @@ class TestConfigFile:
         assert code == 0
         assert report["variables"] == 6
 
+    def test_config_path_is_echoed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4}))
+        code, report = run(capsys, "stats", "--config", str(cfg))
+        assert code == 0
+        assert report["config"]["config"] == str(cfg)
+        assert run(capsys, "stats", "--n", "4")[1]["config"]["config"] is None
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4}))
@@ -179,6 +187,18 @@ class TestInferDense:
 
     def test_requires_some_prior_source(self):
         assert main(["infer", "--concepts", str(DEMO / "concepts.csv")]) == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--prior-model", "/nonexistent.json"],
+        ["--pairs", str(DEMO / "priors.csv")],
+    ], ids=["prior-model", "pairs"])
+    def test_priors_exclude_the_prior_model(self, capsys, extra):
+        # Both would be echoed, yet --priors alone would be read.
+        assert main([
+            "infer", "--concepts", str(DEMO / "concepts.csv"),
+            "--priors", str(DEMO / "priors.csv"), *extra,
+        ]) == 1
+        assert "excludes" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main([

@@ -114,14 +114,14 @@ class TestTransitivityAudit:
 
     def test_cliques_among_requires_all_three_pairs(self):
         full = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
-        assert cliques_among(full, EQ) == [(0, 1, 2)]
+        assert list(cliques_among(full, EQ)) == [(0, 1, 2)]
         partial = {(0, 1): 1, (1, 2): 1}
-        assert cliques_among(partial, EQ) == []
+        assert list(cliques_among(partial, EQ)) == []
 
     def test_cliques_among_parent_child_is_directed(self):
         labels = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (2, 0): 0}
         # (2, 0, 1) would need the absent pair (2, 1), so only one chain closes.
-        assert cliques_among(labels, PC) == [(0, 1, 2)]
+        assert list(cliques_among(labels, PC)) == [(0, 1, 2)]
         with_back_edge = dict(labels)
         with_back_edge[(2, 1)] = 0
         found = cliques_among(with_back_edge, PC)
@@ -130,6 +130,26 @@ class TestTransitivityAudit:
             assert (i, j) in with_back_edge
             assert (j, k) in with_back_edge
             assert (i, k) in with_back_edge
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_audit_equals_scalar_count(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            pairs = [
+                pair for pair in (
+                    itertools.combinations(range(n), 2) if kind.symmetric
+                    else itertools.permutations(range(n), 2)
+                )
+                if rng.random() < rng.uniform(0.3, 1.0)
+            ]
+            # A shuffled map: clique variables index its iteration order.
+            labels = {pairs[i]: int(rng.random() < 0.5) for i in rng.permutation(len(pairs))}
+            cliques = cliques_among(labels, kind)
+            keys = list(labels)
+            for (i, j, k), row in zip(cliques, cliques.variables.tolist()):
+                assert [keys[v] for v in row] == [(i, j), (j, k), (i, k)]
+            assert audit_labels(labels, kind) == count_transitivity_violations(labels, cliques, kind)
 
     def test_audit_counts_every_closable_triangle(self):
         labels = {

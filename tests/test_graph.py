@@ -1,4 +1,4 @@
-"""Factor graph assembly: layout, clique enumeration, closed-form counts."""
+"""Factor graph assembly: prior tables, layout, clique enumeration, closed-form counts."""
 
 import itertools
 import math
@@ -7,12 +7,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import concord.graph as graph_module
 from concord.errors import ConfigurationError
 from concord.graph import (
     DEFAULT_PRIOR_P_ONE,
+    PriorTable,
     build_factor_graph,
+    checked_pair,
     count_graph_stats,
     enumerate_ternary_cliques,
+    prior_table,
 )
 from concord.model import (
     Concept,
@@ -48,6 +52,36 @@ def _sparse(n, pairs, kind):
     return build_factor_graph(
         _concepts(n), dict.fromkeys(pairs, 0.5), TernaryPotential.default(kind), mode="sparse"
     )
+
+
+def _codes(pairs, n):
+    return np.array(sorted(i * n + j for i, j in pairs), dtype=np.int64)
+
+
+def reference_cliques(pairs):
+    """The scalar clique walk: the reference for enumerate_ternary_cliques."""
+    present = set(pairs)
+    ordered = sorted(present)
+    onward: dict[int, list[int]] = {}
+    for i, j in ordered:
+        onward.setdefault(i, []).append(j)
+    return [
+        (i, j, k)
+        for i, j in ordered
+        for k in onward.get(j, ())
+        if k != i and (i, k) in present
+    ]
+
+
+def reference_canonical_priors(priors, n, kind):
+    """The scalar prior check: the reference for prior_table's errors."""
+    canon = {}
+    for (left, right), value in priors.items():
+        pair = checked_pair(left, right, n, kind, "prior pair")
+        if pair in canon:
+            raise ConfigurationError(f"duplicate prior for pair {pair}")
+        canon[pair] = value if isinstance(value, PriorBelief) else PriorBelief(float(value))
+    return canon
 
 
 def _brute_force_cliques(pairs):
@@ -218,19 +252,48 @@ class TestValidation:
 
 class TestCliqueEnumeration:
     def test_equivalence_counts_match_binomial(self):
-        for n in (3, 5, 8):
+        # n = 60 walks more pairings than one walk step holds.
+        for n in (3, 5, 8, 60):
             pairs = list(itertools.combinations(range(n), 2))
-            assert len(enumerate_ternary_cliques(pairs)) == math.comb(n, 3)
+            assert len(enumerate_ternary_cliques(_codes(pairs, n), n)) == math.comb(n, 3)
 
     def test_no_pairs_no_cliques(self):
-        assert enumerate_ternary_cliques([]) == []
+        for n in (0, 2, 5):
+            cliques = enumerate_ternary_cliques(np.empty(0, dtype=np.int64), n)
+            assert list(cliques) == []
+            assert cliques.concepts.shape == cliques.variables.shape == (0, 3)
+
+    def test_two_concepts_close_nothing(self):
+        for pairs in ([(0, 1)], [(0, 1), (1, 0)]):
+            assert len(enumerate_ternary_cliques(_codes(pairs, 2), 2)) == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for kind in (EQ, PC) * 25:
             n = int(rng.integers(3, 9))
             pairs = _random_pairs(n, kind, rng, share=float(rng.uniform(0.2, 0.9)))
-            assert enumerate_ternary_cliques(pairs) == _brute_force_cliques(pairs)
+            assert list(enumerate_ternary_cliques(_codes(pairs, n), n)) == _brute_force_cliques(pairs)
+
+    @pytest.mark.parametrize("step", [1, 5, 1 << 14])
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_matches_scalar_reference(self, kind, step, monkeypatch):
+        # A small walk step splits the pairings over many steps.
+        monkeypatch.setattr(graph_module, "_WALK_STEP", step)
+        rng = np.random.default_rng(16)
+        both_ways = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            pairs = _random_pairs(n, kind, rng, share=float(rng.uniform(0.0, 1.0)))
+            both_ways += any((j, i) in pairs for i, j in pairs)
+            cliques = enumerate_ternary_cliques(_codes(pairs, n), n)
+            expected = reference_cliques(pairs)
+            assert list(cliques) == expected
+            index = sorted(pairs).index
+            assert cliques.variables.tolist() == [
+                [index((i, j)), index((j, k)), index((i, k))] for i, j, k in expected
+            ]
+        if not kind.symmetric:
+            assert both_ways  # some sets hold a parent-child pair in both directions
 
     def test_every_variable_id_valid(self):
         n = 7
@@ -243,3 +306,78 @@ class TestCliqueEnumeration:
             index = graph.pairs.index
             for (i, j, k), row in zip(concepts, graph.triples.tolist()):
                 assert row == [index((i, j)), index((j, k)), index((i, k))]
+
+
+class TestPriorTable:
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_rows_are_prior_belief_log_potentials(self, kind):
+        # Thousands of rows, so a last-bit difference of np.log shows.
+        rng = np.random.default_rng(3)
+        n = 72
+        pairs = _random_pairs(n, kind, rng, share=0.7)
+        values = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.5] + rng.random(len(pairs)).tolist()
+        priors = {pair: values[i] for i, pair in enumerate(reversed(pairs))}
+        priors[pairs[0]] = PriorBelief(0.25)
+        table = prior_table(priors, n, kind)
+        expected = reference_canonical_priors(priors, n, kind)
+        assert table.codes.tolist() == _codes(expected, n).tolist()
+        assert table.unary_log.tolist() == [
+            list(expected[pair].log_potentials()) for pair in sorted(expected)
+        ]
+        assert not table.codes.flags.writeable and not table.unary_log.flags.writeable
+
+    def test_reversed_equivalence_pair_is_canonical(self):
+        assert prior_table({(2, 0): 0.7}, 3, EQ).codes.tolist() == [0 * 3 + 2]
+        assert prior_table({(2, 0): 0.7}, 3, PC).codes.tolist() == [2 * 3 + 0]
+
+    def test_empty_map(self):
+        table = prior_table({}, 3, EQ)
+        assert table.codes.shape == (0,) and table.unary_log.shape == (0, 2)
+
+    @pytest.mark.parametrize("kind, priors", [
+        (EQ, {(0, 1): 0.9, (2, 2): 0.5}),
+        (PC, {(1, 1): 0.5}),
+        (EQ, {(0, 1): 0.9, (0, 7): 0.5}),
+        (EQ, {(7, 0): 0.5}),
+        (PC, {(3, 0): 0.5}),
+        (PC, {(-1, 2): 0.5}),
+        (EQ, {(0, 1): 0.9, (1, 0): 0.8}),
+        (EQ, {(2, 1): 0.9, (0, 2): 0.4, (1, 2): 0.8}),
+        (EQ, {(0, 1): 1.5}),
+        (PC, {(1, 0): 0.5, (0, 1): -0.1}),
+        (EQ, {(0, 2): float("nan")}),
+    ], ids=[
+        "self-pair", "self-pair-pc", "unknown-id", "unknown-reversed", "unknown-pc",
+        "negative-id", "repeat", "repeat-reversed", "above-one", "below-zero", "nan",
+    ])
+    def test_errors_match_the_scalar_check(self, kind, priors):
+        with pytest.raises((ConfigurationError, ValueError)) as expected:
+            reference_canonical_priors(priors, 3, kind)
+        with pytest.raises(expected.type) as raised:
+            prior_table(priors, 3, kind)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_graph_from_table_equals_graph_from_map(self, mode):
+        priors = {(1, 0): 0.9, (1, 2): 0.2, (0, 2): 0.6, (2, 3): 0.3}
+        from_map = build_factor_graph(_concepts(4), priors, TernaryPotential.default(EQ), mode)
+        table = prior_table(priors, 4, EQ)
+        from_table = build_factor_graph(_concepts(4), table, TernaryPotential.default(EQ), mode)
+        assert from_table.pairs == from_map.pairs
+        for name in ("unary_log", "triples", "triple_concepts"):
+            assert getattr(from_table, name).tolist() == getattr(from_map, name).tolist()
+
+    def test_table_of_another_vocabulary_rejected(self):
+        table = prior_table({(0, 1): 0.9}, 3, EQ)
+        for n, kind in ((4, EQ), (3, PC)):
+            with pytest.raises(ConfigurationError, match="prior table"):
+                build_factor_graph(_concepts(n), table, TernaryPotential.default(kind))
+
+    def test_select_fills_the_default(self):
+        table = prior_table({(0, 1): 0.9, (1, 2): 0.2}, 3, EQ)
+        local = table.select(np.array([1, 5]), 0.05)
+        assert isinstance(local, PriorTable) and local.codes.tolist() == [1, 5]
+        local = table.select(np.array([2, 5]), 0.05)
+        assert local.unary_log.tolist() == [
+            list(PriorBelief(0.05).log_potentials()), list(PriorBelief(0.2).log_potentials())
+        ]

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import concurrent.futures.process
+import itertools
 import logging
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from concord.errors import ConfigurationError
 from concord.evaluation import audit_labels, generate_synthetic
-from concord.graph import build_factor_graph
+from concord.graph import build_factor_graph, checked_pair
 from concord.inference import LbpConfig, lbp_map
 from concord.model import Concept, PriorBelief, RelationshipKind, TernaryPotential
 from concord.partition import (
@@ -159,6 +160,34 @@ class TestBuildPartitions:
         owned = [pair for part in parts for pair in part.test_pairs]
         assert len(owned) == len(set(owned))
         assert set(owned) == set(data.pairs)
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_local_graphs_match_the_scalar_reference(self, kind):
+        # The per-anchor pair sets and priors, built pair by pair as sets.
+        data = generate_synthetic(kind, 40, prior_noise=0.2, seed=6, pair_mode="sparse")
+        config = PartitionConfig(k=4, default_prior=0.03)
+        neighbors = top_k_neighbors(trigram_embeddings(data.concepts), config.k)
+        closing = itertools.combinations if kind.symmetric else itertools.permutations
+        by_anchor = {}
+        for left, right in data.pairs:
+            pair = checked_pair(left, right, 40, kind)
+            by_anchor.setdefault(pair[0], set()).add(pair)
+        parts = build_partitions(
+            data.concepts, data.pairs, data.priors, TernaryPotential.default(kind), config
+        )
+        assert [p.anchor for p in parts] == sorted(by_anchor)
+        for part in parts:
+            anchored = by_anchor[part.anchor]
+            near = set(neighbors[part.anchor].tolist())
+            eligible = sorted({right for _, right in anchored} & near)
+            members = sorted(anchored.union(closing(eligible, 2)))
+            assert part.test_pairs == tuple(sorted(anchored))
+            assert part.graph.pairs == tuple(members)
+            assert part.graph.unary_log.tolist() == [
+                list(PriorBelief(data.priors.get(pair, 0.03)).log_potentials())
+                for pair in members
+            ]
+        assert any(len(p.graph.pairs) > len(p.test_pairs) for p in parts)
 
     def test_local_size_bound(self):
         k = 4

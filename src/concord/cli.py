@@ -216,6 +216,8 @@ def _load_prior_map(cfg: SimpleNamespace, concepts, kind) -> dict[tuple[int, int
     if cfg.priors:
         if cfg.prior_model or cfg.pairs:
             raise _UsageError("infer: --priors excludes --prior-model and --pairs")
+        if cfg.embeddings and cfg.mode == "dense":
+            raise _UsageError("infer: --priors excludes --embeddings in --mode dense")
         return load_external_priors(cfg.priors, n, kind)
     if not cfg.prior_model:
         raise _UsageError("infer: provide either --priors or --prior-model")
@@ -424,8 +426,16 @@ def _cmd_synth(cfg: SimpleNamespace) -> int:
         fileio.write_labels(str(path), dataset.split_gold(split))
         files[split] = str(path)
     positives = sum(dataset.gold.values())
+    echo = _config_echo(cfg)
+    # Each relationship's generator reads only its own shape options.
+    unread = (
+        ("n_roots", "positive_fraction") if kind is RelationshipKind.EQUIVALENCE
+        else ("n_clusters", "pair_mode", "pairs_per_concept")
+    )
+    for key in unread:
+        del echo[key]
     meta = {
-        "config": _config_echo(cfg),
+        "config": echo,
         "files": files,
         "counts": {
             "concepts": len(dataset.concepts),

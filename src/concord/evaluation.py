@@ -5,13 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .graph import Cliques, all_pairs, enumerate_ternary_cliques
-from .model import Concept, RelationshipKind, canonical_pair
+from .model import Concept, RelationshipKind
 
 PairLabels = Mapping[tuple[int, int], int]
 
@@ -82,23 +82,18 @@ def prf1(predicted: PairLabels, gold: PairLabels) -> Metrics:
 
 def count_transitivity_violations(
     labels: PairLabels,
-    cliques: Iterable[tuple[int, int, int]],
+    cliques: Cliques,
     kind: RelationshipKind,
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Count cliques whose (x_ij, x_jk, x_ik) configuration is forbidden.
 
-    The scalar audit of any cliques: each clique's code 4*x_ij + 2*x_jk +
-    x_ik, read under ``canonical_pair`` keys, indexes ``kind.forbidden``.
-    A clique that repeats a concept raises ``ValueError``.
+    ``cliques`` is ``cliques_among(labels, kind)``: its variables index the
+    map's iteration order, and each clique's code 4*x_ij + 2*x_jk + x_ik
+    indexes ``kind.forbidden``.  Returns the count and the broken triples.
     """
-    violating = [
-        (i, j, k) for i, j, k in cliques
-        if kind.forbidden[
-            4 * labels[canonical_pair(i, j, kind)]
-            + 2 * labels[canonical_pair(j, k, kind)]
-            + labels[canonical_pair(i, k, kind)]
-        ]
-    ]
+    x = np.fromiter(labels.values(), np.int8, len(labels))[cliques.variables]
+    broken = kind.forbidden[4 * x[:, 0] + 2 * x[:, 1] + x[:, 2]]
+    violating = list(map(tuple, cliques.concepts[broken].tolist()))
     return len(violating), violating
 
 
@@ -118,13 +113,8 @@ def cliques_among(labels: PairLabels, kind: RelationshipKind) -> Cliques:
 
 
 def audit_labels(labels: PairLabels, kind: RelationshipKind) -> tuple[int, list]:
-    """Transitivity audit over every clique closable from the label map:
-    ``count_transitivity_violations`` over ``cliques_among``, on arrays."""
-    cliques = cliques_among(labels, kind)
-    x = np.fromiter(labels.values(), np.int8, len(labels))[cliques.variables]
-    broken = kind.forbidden[4 * x[:, 0] + 2 * x[:, 1] + x[:, 2]]
-    violating = list(map(tuple, cliques.concepts[broken].tolist()))
-    return len(violating), violating
+    """Transitivity audit over every clique closable from the label map."""
+    return count_transitivity_violations(labels, cliques_among(labels, kind), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def prior_flips(graph: FactorGraph, labels: np.ndarray) -> list[int]:
 def greedy_repair(
     graph: FactorGraph,
     labels: np.ndarray,
-    margins: np.ndarray | None = None,
+    margins: np.ndarray,
 ) -> tuple[np.ndarray, list[int]]:
     """Flip labels until no ternary clique is violated.
 
@@ -292,8 +292,6 @@ def greedy_repair(
     """
     labels = np.array(labels, dtype=np.int64, copy=True)
     m = graph.num_variables
-    if margins is None:
-        margins = graph.unary_log[:, 1] - graph.unary_log[:, 0]
     flipped_order: list[int] = []
     flipped: set[int] = set()
     for _ in range(4 * m + 8):

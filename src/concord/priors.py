@@ -72,12 +72,12 @@ def _tokens(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text) if t]
 
 
-def qgrams(text: str, q: int = QGRAM_SIZE) -> list[str]:
-    """Character q-grams of an already lower-cased name, in order; a name
-    shorter than q is its own single gram."""
-    if len(text) < q:
+def qgrams(text: str) -> list[str]:
+    """Character ``QGRAM_SIZE``-grams of an already lower-cased name, in
+    order; a shorter name is its own single gram."""
+    if len(text) < QGRAM_SIZE:
         return [text]
-    return [text[i : i + q] for i in range(len(text) - q + 1)]
+    return [text[i : i + QGRAM_SIZE] for i in range(len(text) - QGRAM_SIZE + 1)]
 
 
 def _jaccard(a: frozenset | set, b: frozenset | set) -> float:

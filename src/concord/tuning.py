@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -23,6 +23,12 @@ from .inference import LbpConfig, lbp_map
 from .model import DEFAULT_WEIGHTS, RelationshipKind, TernaryPotential
 
 GraphBuilder = Callable[[TernaryPotential], FactorGraph]
+
+# The fixed box that every ``SearchSpace`` draws from.
+ANCHOR_WEIGHT = 1.0
+WEIGHT_RANGE = (0.05, 1.0)
+DAMPING_RANGE = (0.0, 0.9)
+ROUND_CAPS = (50, 100, 200)
 
 
 @dataclass(frozen=True)
@@ -44,78 +50,46 @@ class TrialConfig:
         }
 
 
+def _step(rng: np.random.Generator, value: float, bounds: tuple[float, float]) -> float:
+    """One Gaussian step from ``value``, sigma at 10% of the range, clipped into it."""
+    low, high = bounds
+    return float(np.clip(value + rng.normal(0.0, 0.1 * (high - low)), low, high))
+
+
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box constraints for the tunable knobs.
+    """The fixed box that ``tune`` searches for one relationship kind.
 
-    weight_ranges has one (low, high) interval per free table configuration;
-    a degenerate interval (low == high) pins that weight.  By default the
-    all-zero configuration's weight is pinned at 1.0 since decoding is
-    invariant to the table's overall scale.
+    The all-zero configuration's weight is pinned at ``ANCHOR_WEIGHT``, since
+    decoding is invariant to the table's overall scale; every other weight
+    lies in ``WEIGHT_RANGE``, damping in ``DAMPING_RANGE``, and the round cap
+    is one of ``ROUND_CAPS``.
     """
 
     kind: RelationshipKind
-    weight_ranges: tuple[tuple[float, float], ...]
-    damping_range: tuple[float, float] = (0.0, 0.9)
-    iteration_choices: tuple[int, ...] = (50, 100, 200)
-
-    def __post_init__(self) -> None:
-        if len(self.weight_ranges) != self.kind.num_weights:
-            raise ConfigurationError(
-                f"{self.kind.value} needs {self.kind.num_weights} weight ranges"
-            )
-        for low, high in self.weight_ranges:
-            if not (0.0 < low <= high <= 1.0):
-                raise ConfigurationError(
-                    f"weight range ({low}, {high}) must satisfy 0 < low <= high <= 1"
-                )
-        low, high = self.damping_range
-        if not (0.0 <= low <= high < 1.0):
-            raise ConfigurationError("damping range must lie within [0, 1)")
-        if not self.iteration_choices or any(c < 1 for c in self.iteration_choices):
-            raise ConfigurationError("iteration choices must be positive")
 
     @classmethod
     def default(cls, kind: RelationshipKind) -> "SearchSpace":
-        ranges = [(1.0, 1.0)] + [(0.05, 1.0)] * (kind.num_weights - 1)
-        return cls(kind=kind, weight_ranges=tuple(ranges))
+        return cls(kind)
 
     def default_config(self) -> TrialConfig:
-        weights = tuple(
-            min(max(w, low), high)
-            for w, (low, high) in zip(DEFAULT_WEIGHTS[self.kind], self.weight_ranges)
+        return TrialConfig(
+            self.kind, DEFAULT_WEIGHTS[self.kind], LbpConfig.damping, LbpConfig.max_iterations
         )
-        return TrialConfig(self.kind, weights, LbpConfig.damping, LbpConfig.max_iterations)
 
     def sample(self, rng: np.random.Generator) -> TrialConfig:
-        weights = tuple(
-            low if low == high else float(rng.uniform(low, high))
-            for low, high in self.weight_ranges
-        )
-        dlow, dhigh = self.damping_range
-        damping = dlow if dlow == dhigh else float(rng.uniform(dlow, dhigh))
-        iters = int(self.iteration_choices[rng.integers(0, len(self.iteration_choices))])
-        return TrialConfig(self.kind, weights, damping, iters)
+        free = [float(rng.uniform(*WEIGHT_RANGE)) for _ in range(self.kind.num_weights - 1)]
+        damping = float(rng.uniform(*DAMPING_RANGE))
+        cap = ROUND_CAPS[rng.integers(0, len(ROUND_CAPS))]
+        return TrialConfig(self.kind, (ANCHOR_WEIGHT, *free), damping, cap)
 
     def perturb(self, rng: np.random.Generator, base: TrialConfig) -> TrialConfig:
-        weights = []
-        for value, (low, high) in zip(base.weights, self.weight_ranges):
-            if low == high:
-                weights.append(low)
-            else:
-                sigma = 0.1 * (high - low)
-                weights.append(float(np.clip(value + rng.normal(0.0, sigma), low, high)))
-        dlow, dhigh = self.damping_range
-        if dlow == dhigh:
-            damping = dlow
-        else:
-            damping = float(np.clip(base.damping + rng.normal(0.0, 0.1 * (dhigh - dlow)), dlow, dhigh))
-        if base.max_iterations in self.iteration_choices:
-            index = self.iteration_choices.index(base.max_iterations)
-        else:
-            index = len(self.iteration_choices) - 1
-        index = int(np.clip(index + rng.integers(-1, 2), 0, len(self.iteration_choices) - 1))
-        return TrialConfig(self.kind, tuple(weights), damping, int(self.iteration_choices[index]))
+        free = [_step(rng, w, WEIGHT_RANGE) for w in base.weights[1:]]
+        damping = _step(rng, base.damping, DAMPING_RANGE)
+        last = len(ROUND_CAPS) - 1
+        index = ROUND_CAPS.index(base.max_iterations) if base.max_iterations in ROUND_CAPS else last
+        index = int(np.clip(index + rng.integers(-1, 2), 0, last))
+        return TrialConfig(self.kind, (ANCHOR_WEIGHT, *free), damping, ROUND_CAPS[index])
 
 
 @dataclass(frozen=True)

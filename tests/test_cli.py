@@ -200,6 +200,17 @@ class TestInferDense:
         ]) == 1
         assert "excludes" in capsys.readouterr().err
 
+    def test_priors_exclude_embeddings_in_dense_mode(self, capsys):
+        # A dense run with --priors opens no embeddings file, yet would echo it.
+        argv = [
+            "infer", "--concepts", str(DEMO / "concepts.csv"),
+            "--priors", str(DEMO / "priors.csv"), "--embeddings", "/nonexistent.csv",
+        ]
+        assert main(argv) == 1
+        assert "excludes --embeddings" in capsys.readouterr().err
+        # Partitioning reads them, so there the missing file is an input error.
+        assert main([*argv, "--mode", "partitioned"]) == 2
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert main([
             "infer", "--concepts", str(tmp_path / "nope.csv"),
@@ -258,6 +269,23 @@ class TestSynth:
 
     def test_requires_outdir(self):
         assert main(["synth"]) == 1
+
+    @pytest.mark.parametrize("relationship, unread", [
+        ("equivalence", {"n_roots", "positive_fraction"}),
+        ("parent-child", {"n_clusters", "pair_mode", "pairs_per_concept"}),
+    ])
+    def test_echo_drops_the_other_relationships_options(
+        self, tmp_path, capsys, relationship, unread
+    ):
+        code, report = run(
+            capsys, "synth", "--relationship", relationship, "--n-concepts", "12",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        echoed = set(report["config"])
+        assert not echoed & unread
+        shape = {"n_clusters", "n_roots", "pair_mode", "pairs_per_concept", "positive_fraction"}
+        assert shape - unread <= echoed
 
     def test_bad_noise_is_config_error(self, tmp_path):
         assert main(["synth", "--noise", "0.9", "--outdir", str(tmp_path)]) == 2

@@ -15,7 +15,7 @@ from concord.evaluation import (
     generate_synthetic,
     prf1,
 )
-from concord.model import RelationshipKind, canonical_pair
+from concord.model import RelationshipKind
 
 EQ = RelationshipKind.EQUIVALENCE
 PC = RelationshipKind.PARENT_CHILD
@@ -61,56 +61,34 @@ class TestMetrics:
         assert d["f1"] == pytest.approx(m.f1)
 
 
+def reference_violations(labels, cliques, kind):
+    """The scalar audit: each clique's (x_ij, x_jk, x_ik) read by pair key
+    and looked up among the kind's zero configurations."""
+    violating = [
+        (i, j, k) for i, j, k in cliques
+        if (labels[(i, j)], labels[(j, k)], labels[(i, k)]) in kind.zero_configurations
+    ]
+    return len(violating), violating
+
+
 class TestTransitivityAudit:
     def test_violating_triangle(self):
         labels = {(0, 1): 1, (1, 2): 1, (0, 2): 0}
-        count, violating = count_transitivity_violations(labels, [(0, 1, 2)], EQ)
+        count, violating = count_transitivity_violations(labels, cliques_among(labels, EQ), EQ)
         assert count == 1
         assert violating == [(0, 1, 2)]
 
     def test_all_negative_is_consistent(self):
         labels = {(0, 1): 0, (1, 2): 0, (0, 2): 0}
-        count, _ = count_transitivity_violations(labels, [(0, 1, 2)], EQ)
+        count, _ = count_transitivity_violations(labels, cliques_among(labels, EQ), EQ)
         assert count == 0
 
     def test_parent_child_only_forbids_broken_chains(self):
-        cliques = [(0, 1, 2)]
         broken = {(0, 1): 1, (1, 2): 1, (0, 2): 0}
         skipped = {(0, 1): 1, (1, 2): 0, (0, 2): 1}
-        assert count_transitivity_violations(broken, cliques, PC)[0] == 1
-        assert count_transitivity_violations(skipped, cliques, PC)[0] == 0
-
-    @pytest.mark.parametrize("kind", [EQ, PC])
-    def test_matches_canonical_pair_reference(self, kind):
-        # Cliques in any concept order read the canonical key of each pair.
-        rng = np.random.default_rng(41)
-        n = 7
-        pairs = (
-            itertools.combinations(range(n), 2) if kind.symmetric
-            else itertools.permutations(range(n), 2)
-        )
-        labels = {pair: int(rng.random() < 0.4) for pair in pairs}
-        cliques = [
-            tuple(int(c) for c in rng.permutation(triple))
-            for triple in itertools.combinations(range(n), 3)
-        ]
-        expected = [
-            (i, j, k) for i, j, k in cliques
-            if (
-                labels[canonical_pair(i, j, kind)],
-                labels[canonical_pair(j, k, kind)],
-                labels[canonical_pair(i, k, kind)],
-            ) in kind.zero_configurations
-        ]
-        assert expected
-        assert count_transitivity_violations(labels, cliques, kind) == (len(expected), expected)
-
-    @pytest.mark.parametrize("kind", [EQ, PC])
-    @pytest.mark.parametrize("clique", [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
-    def test_self_pair_clique_is_rejected(self, kind, clique):
-        labels = {(i, j): 0 for i, j in itertools.permutations(range(2), 2)}
-        with pytest.raises(ValueError, match="self-pair"):
-            count_transitivity_violations(labels, [clique], kind)
+        for labels, expected in ((broken, 1), (skipped, 0)):
+            cliques = cliques_among(labels, PC)
+            assert count_transitivity_violations(labels, cliques, PC)[0] == expected
 
     def test_cliques_among_requires_all_three_pairs(self):
         full = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
@@ -134,6 +112,7 @@ class TestTransitivityAudit:
     @pytest.mark.parametrize("kind", [EQ, PC])
     def test_audit_equals_scalar_count(self, kind):
         rng = np.random.default_rng(17)
+        broken = 0
         for _ in range(30):
             n = int(rng.integers(2, 12))
             pairs = [
@@ -149,7 +128,10 @@ class TestTransitivityAudit:
             keys = list(labels)
             for (i, j, k), row in zip(cliques, cliques.variables.tolist()):
                 assert [keys[v] for v in row] == [(i, j), (j, k), (i, k)]
-            assert audit_labels(labels, kind) == count_transitivity_violations(labels, cliques, kind)
+            count, violating = reference_violations(labels, cliques, kind)
+            assert audit_labels(labels, kind) == (count, violating)
+            broken += count
+        assert broken
 
     def test_audit_counts_every_closable_triangle(self):
         labels = {

@@ -483,17 +483,21 @@ class TestOneRule:
         assert 0 < broken < 60
 
 
+def _prior_log_odds(graph):
+    return graph.unary_log[:, 1] - graph.unary_log[:, 0]
+
+
 class TestRepair:
     def test_repairs_single_violation(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
-        labels, flips = greedy_repair(graph, np.array([1, 1, 0]))
+        labels, flips = greedy_repair(graph, np.array([1, 1, 0]), _prior_log_odds(graph))
         assert violated_cliques(graph, labels) == []
         assert len(flips) >= 1
         assert joint_log_score(graph, labels) != LOG_ZERO
 
     def test_valid_input_is_untouched(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
-        labels, flips = greedy_repair(graph, np.array([0, 0, 0]))
+        labels, flips = greedy_repair(graph, np.array([0, 0, 0]), _prior_log_odds(graph))
         assert labels.tolist() == [0, 0, 0]
         assert flips == []
 
@@ -516,7 +520,7 @@ class TestRepair:
             }
             graph = _graph(priors, n=n, mode="dense")
             labels = rng.integers(0, 2, size=graph.num_variables)
-            repaired, _ = greedy_repair(graph, labels)
+            repaired, _ = greedy_repair(graph, labels, _prior_log_odds(graph))
             assert violated_cliques(graph, repaired) == []
 
     def test_lbp_map_repair_plumbing(self):

@@ -1,20 +1,50 @@
-"""Random-search tuning: space validation, trial mechanics, objective wiring."""
+"""Random-search tuning: the fixed space's draws, trial mechanics, objective wiring."""
 
 import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from concord import tuning
 from concord.errors import ConfigurationError
 from concord.evaluation import generate_synthetic
 from concord.graph import build_factor_graph
 from concord.inference import LbpConfig, lbp_map
-from concord.model import Concept, RelationshipKind, TernaryPotential
-from concord.tuning import SearchSpace, TrialConfig, evaluate_config, tune
+from concord.model import DEFAULT_WEIGHTS, Concept, RelationshipKind, TernaryPotential
+from concord.tuning import (
+    ANCHOR_WEIGHT,
+    DAMPING_RANGE,
+    ROUND_CAPS,
+    WEIGHT_RANGE,
+    SearchSpace,
+    evaluate_config,
+    tune,
+)
 
 EQ = RelationshipKind.EQUIVALENCE
 PC = RelationshipKind.PARENT_CHILD
+
+# (weights, damping, round cap) drawn from the default space with seed 0.
+GOLDEN_DRAWS = {
+    EQ: [
+        ((1.0, 0.6551136029553816, 0.30629737807567675, 0.08892484773938496, 0.06570125375210265), 0.7319432152802452, 100),
+        ((1.0, 0.6263039869788208, 0.7430217329347985, 0.5664437418921517, 0.9383188025983799), 0.734268198709379, 200),
+        ((1.0, 0.05260157516164069, 0.8645340627581909, 0.08190629654019113, 0.7431726741084469), 0.15809005854230312, 50),
+        ((1.0, 0.6250650881003119, 0.3454022790312194, 0.18796361783643933, 0.05349046077241939), 0.854924927629717, 200),
+        ((1.0, 0.5631104929975925, 0.7764151895936353, 0.6522734091490736, 0.947249970885663), 0.6673532662675362, 200),
+        ((1.0, 0.05, 0.8854525994878456, 0.05, 0.7233009944956341), 0.14375980765000013, 100),
+    ],
+    PC: [
+        ((1.0, 0.6551136029553816, 0.30629737807567675, 0.08892484773938496, 0.06570125375210265, 0.8226067272402589, 0.9171177984138357), 0.5459721981904619, 200),
+        ((1.0, 0.5664437418921517, 0.9383188025983799, 0.8250608764154556, 0.05260157516164069, 0.8645340627581909, 0.08190629654019113), 0.6566899017869496, 200),
+        ((1.0, 0.2168728395724311, 0.8700199762323922, 0.5643881592366371, 0.3347262960105155, 0.4515528601377755, 0.07690368758818981), 0.11185494884960755, 50),
+        ((1.0, 0.6885070596142184, 0.39212704533259857, 0.09785601602666805, 0.05, 0.735042816495709, 0.8736338449754385), 0.5657897593027664, 200),
+        ((1.0, 0.4705300144559718, 0.9184471229855671, 0.8099345004735802, 0.10398190570679242, 0.8849266793962933, 0.11566670389898367), 0.597845326939299, 200),
+        ((1.0, 0.2913505092282574, 1.0, 0.44477693368674565, 0.4785490546107265, 0.5794110253970944, 0.15112827065473045), 0.13565595557924487, 100),
+    ],
+}
 
 
 def _concepts(n):
@@ -27,35 +57,32 @@ def _builder(concepts, priors):
     return build
 
 
+def _assert_inside(config):
+    assert len(config.weights) == config.kind.num_weights
+    assert config.weights[0] == ANCHOR_WEIGHT
+    low, high = WEIGHT_RANGE
+    assert all(low <= w <= high for w in config.weights[1:])
+    low, high = DAMPING_RANGE
+    assert low <= config.damping <= high
+    assert config.max_iterations in ROUND_CAPS
+
+
 class TestSearchSpace:
     def test_default_pins_the_anchor_weight(self):
-        space = SearchSpace.default(EQ)
-        assert space.weight_ranges[0] == (1.0, 1.0)
-        assert len(space.weight_ranges) == EQ.num_weights
-        assert SearchSpace.default(PC).weight_ranges[0] == (1.0, 1.0)
+        for kind in (EQ, PC):
+            weights = SearchSpace.default(kind).default_config().weights
+            assert weights[0] == ANCHOR_WEIGHT
+            assert len(weights) == kind.num_weights
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SearchSpace(EQ, ((1.0, 1.0),) * 4)  # wrong arity
-        with pytest.raises(ConfigurationError):
-            SearchSpace(EQ, ((0.0, 1.0),) + ((0.1, 1.0),) * 4)  # zero lower bound
-        with pytest.raises(ConfigurationError):
-            SearchSpace(EQ, ((0.5, 0.2),) + ((0.1, 1.0),) * 4)  # inverted
-        with pytest.raises(ConfigurationError):
-            SearchSpace.default(EQ).__class__(
-                EQ, SearchSpace.default(EQ).weight_ranges, damping_range=(0.2, 1.0)
-            )
-        with pytest.raises(ConfigurationError):
-            SearchSpace(
-                EQ, SearchSpace.default(EQ).weight_ranges, iteration_choices=()
-            )
+    def test_space_is_its_kind(self):
+        assert [f.name for f in fields(SearchSpace)] == ["kind"]
+        assert SearchSpace.default(PC) == SearchSpace(PC)
 
     def test_default_config_is_inside_the_space(self):
         for kind in (EQ, PC):
-            space = SearchSpace.default(kind)
-            config = space.default_config()
-            for w, (low, high) in zip(config.weights, space.weight_ranges):
-                assert low <= w <= high
+            config = SearchSpace.default(kind).default_config()
+            _assert_inside(config)
+            assert config.weights == DEFAULT_WEIGHTS[kind]
             assert config.potential().kind is kind
 
     def test_lbp_defaults_come_from_lbp_config(self):
@@ -69,25 +96,38 @@ class TestSearchSpace:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_samples_stay_in_the_box(self, seed):
         rng = np.random.default_rng(seed)
-        space = SearchSpace.default(EQ)
-        config = space.sample(rng)
-        for w, (low, high) in zip(config.weights, space.weight_ranges):
-            assert low <= w <= high
-        dlow, dhigh = space.damping_range
-        assert dlow <= config.damping <= dhigh
-        assert config.max_iterations in space.iteration_choices
-        perturbed = space.perturb(rng, config)
-        for w, (low, high) in zip(perturbed.weights, space.weight_ranges):
-            assert low <= w <= high
-        assert dlow <= perturbed.damping <= dhigh
-        assert perturbed.max_iterations in space.iteration_choices
+        for kind in (EQ, PC):
+            space = SearchSpace.default(kind)
+            config = space.sample(rng)
+            _assert_inside(config)
+            _assert_inside(space.perturb(rng, config))
 
     def test_pinned_weight_never_moves(self):
         rng = np.random.default_rng(0)
         space = SearchSpace.default(EQ)
         for _ in range(30):
-            assert space.sample(rng).weights[0] == 1.0
-            assert space.perturb(rng, space.default_config()).weights[0] == 1.0
+            assert space.sample(rng).weights[0] == ANCHOR_WEIGHT
+            assert space.perturb(rng, space.default_config()).weights[0] == ANCHOR_WEIGHT
+
+    def test_round_cap_outside_the_choices_steps_from_the_last(self):
+        space = SearchSpace.default(EQ)
+        base = replace(space.default_config(), max_iterations=77)
+        caps = {space.perturb(np.random.default_rng(seed), base).max_iterations
+                for seed in range(40)}
+        assert caps == set(ROUND_CAPS[-2:])
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_seed_zero_draws_are_golden(self, kind):
+        # Three samples, then one perturbation of each, from one generator:
+        # a reordered or extra draw changes every later value.
+        rng = np.random.default_rng(0)
+        space = SearchSpace.default(kind)
+        sampled = [space.sample(rng) for _ in range(3)]
+        perturbed = [space.perturb(rng, config) for config in sampled]
+        drawn = [(c.weights, c.damping, c.max_iterations) for c in sampled + perturbed]
+        assert drawn == GOLDEN_DRAWS[kind]
+        assert all(type(v) is float for c in sampled + perturbed for v in (*c.weights, c.damping))
+        assert all(type(c.max_iterations) is int for c in sampled + perturbed)
 
 
 class TestEvaluateConfig:
@@ -154,15 +194,13 @@ class TestTune:
         assert best is history[0]
         assert best.config == initial
 
-    def test_ties_keep_the_earliest_trial(self):
+    def test_ties_keep_the_earliest_trial(self, monkeypatch):
         build, gold = self._small_problem()
-        space = SearchSpace(
-            EQ, ((1.0, 1.0),) * 5, damping_range=(0.5, 0.5), iteration_choices=(50,)
-        )
-        best, history = tune(space, build, gold, budget=6)
-        # Every trial runs the identical configuration, so the first wins.
+        monkeypatch.setattr(tuning, "evaluate_config", lambda *args: 0.5)
+        best, history = tune(SearchSpace.default(EQ), build, gold, budget=6)
+        # Every trial scores the same, so the first wins.
         assert best.index == 0
-        assert all(r.objective == best.objective for r in history)
+        assert [r.objective for r in history] == [0.5] * 6
 
     def test_deterministic_under_seed(self):
         build, gold = self._small_problem()
@@ -190,12 +228,9 @@ class TestTune:
 
     def test_trial_configs_stay_in_space(self):
         build, gold = self._small_problem()
-        space = SearchSpace.default(EQ)
-        _, history = tune(space, build, gold, budget=14, seed=1)
+        _, history = tune(SearchSpace.default(EQ), build, gold, budget=14, seed=1)
         for record in history:
-            for w, (low, high) in zip(record.config.weights, space.weight_ranges):
-                assert low <= w <= high
-            assert record.config.max_iterations in space.iteration_choices
+            _assert_inside(record.config)
             assert 0.0 <= record.objective <= 1.0
             assert record.wall_time >= 0.0
 

@@ -102,9 +102,14 @@ def cliques_among(labels: PairLabels, kind: RelationshipKind) -> Cliques:
 
     A clique's variables are the positions of its pairs in the map's
     iteration order.  The keys are already canonical for ``kind``, so the
-    walk itself needs no kind.
+    walk itself needs no kind.  A self-pair key would close cliques that
+    repeat a concept, so it raises ``ConfigurationError``.
     """
     pairs = np.fromiter(itertools.chain.from_iterable(labels), np.int64, 2 * len(labels))
+    selves = np.flatnonzero(pairs[0::2] == pairs[1::2])
+    if selves.size:
+        i = int(pairs[2 * selves[0]])
+        raise ConfigurationError(f"label map holds the self-pair ({i}, {i})")
     n = int(pairs.max(initial=-1)) + 1
     codes = pairs[0::2] * n + pairs[1::2]
     order = codes.argsort()

@@ -68,6 +68,10 @@ class SearchSpace:
 
     kind: RelationshipKind
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, RelationshipKind):
+            raise ConfigurationError(f"search space kind {self.kind!r} is not a RelationshipKind")
+
     @classmethod
     def default(cls, kind: RelationshipKind) -> "SearchSpace":
         return cls(kind)
@@ -151,6 +155,10 @@ def tune(
         raise ConfigurationError("gold label map is empty")
     if not any(v == 1 for v in gold.values()):
         raise ConfigurationError("gold labels contain no positive pair")
+    if initial is not None and initial.kind is not space.kind:
+        raise ConfigurationError(
+            f"initial configuration is for {initial.kind.value}, the space for {space.kind.value}"
+        )
     rng = np.random.default_rng(seed)
     explore_trials = math.ceil(budget / 2)
     first = initial if initial is not None else space.sample(rng)

@@ -15,7 +15,7 @@ from concord.evaluation import (
     generate_synthetic,
     prf1,
 )
-from concord.model import RelationshipKind
+from concord.model import RelationshipKind, canonical_pair
 
 EQ = RelationshipKind.EQUIVALENCE
 PC = RelationshipKind.PARENT_CHILD
@@ -89,6 +89,45 @@ class TestTransitivityAudit:
         for labels, expected in ((broken, 1), (skipped, 0)):
             cliques = cliques_among(labels, PC)
             assert count_transitivity_violations(labels, cliques, PC)[0] == expected
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_matches_canonical_pair_reference(self, kind):
+        # Every pair of n concepts, inserted in shuffled order.  The reference
+        # walks every concept triple itself; an equivalence triple is read in
+        # a random concept order through canonical_pair keys.
+        rng = np.random.default_rng(41)
+        n = 7
+        pairs = list(
+            itertools.combinations(range(n), 2) if kind.symmetric
+            else itertools.permutations(range(n), 2)
+        )
+        labels = {pairs[p]: int(rng.random() < 0.4) for p in rng.permutation(len(pairs))}
+        triples = (
+            itertools.combinations(range(n), 3) if kind.symmetric
+            else itertools.permutations(range(n), 3)
+        )
+        expected = []
+        for triple in triples:
+            i, j, k = (int(c) for c in rng.permutation(triple)) if kind.symmetric else triple
+            configuration = (
+                labels[canonical_pair(i, j, kind)],
+                labels[canonical_pair(j, k, kind)],
+                labels[canonical_pair(i, k, kind)],
+            )
+            if configuration in kind.zero_configurations:
+                expected.append(triple)
+        assert expected
+        count, violating = count_transitivity_violations(labels, cliques_among(labels, kind), kind)
+        assert (count, sorted(violating)) == (len(expected), expected)
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    @pytest.mark.parametrize("clique", [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    def test_self_pair_clique_is_rejected(self, kind, clique):
+        # A self-pair key would close this clique, which repeats a concept.
+        i, j, k = clique
+        labels = {(i, j): 0, (j, k): 0, (i, k): 0}
+        with pytest.raises(ConfigurationError, match="self-pair"):
+            audit_labels(labels, kind)
 
     def test_cliques_among_requires_all_three_pairs(self):
         full = {(0, 1): 1, (1, 2): 1, (0, 2): 1}

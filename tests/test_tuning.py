@@ -78,6 +78,17 @@ class TestSearchSpace:
         assert [f.name for f in fields(SearchSpace)] == ["kind"]
         assert SearchSpace.default(PC) == SearchSpace(PC)
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            SearchSpace("equivalence")  # a kind's value, not the kind
+        initial = SearchSpace.default(PC).default_config()
+
+        def build(potential):
+            pytest.fail("the graph is built before the initial configuration is checked")
+
+        with pytest.raises(ConfigurationError, match="parent-child"):
+            tune(SearchSpace.default(EQ), build, {(0, 1): 1}, budget=1, initial=initial)
+
     def test_default_config_is_inside_the_space(self):
         for kind in (EQ, PC):
             config = SearchSpace.default(kind).default_config()

@@ -211,14 +211,21 @@ def _cmd_stats(cfg: SimpleNamespace) -> int:
     return 0
 
 
-def _load_prior_map(cfg: SimpleNamespace, concepts, kind) -> dict[tuple[int, int], PriorBelief]:
+def _load_embeddings(cfg: SimpleNamespace) -> dict | None:
+    return fileio.load_embeddings(cfg.embeddings) if cfg.embeddings else None
+
+
+def _load_prior_map(
+    cfg: SimpleNamespace, concepts, kind
+) -> tuple[dict[tuple[int, int], PriorBelief], dict | None]:
+    """The prior map and the ``--embeddings``, each file parsed once."""
     n = len(concepts)
     if cfg.priors:
         if cfg.prior_model or cfg.pairs:
             raise _UsageError("infer: --priors excludes --prior-model and --pairs")
         if cfg.embeddings and cfg.mode == "dense":
             raise _UsageError("infer: --priors excludes --embeddings in --mode dense")
-        return load_external_priors(cfg.priors, n, kind)
+        return load_external_priors(cfg.priors, n, kind), _load_embeddings(cfg)
     if not cfg.prior_model:
         raise _UsageError("infer: provide either --priors or --prior-model")
     payload = fileio.load_json(cfg.prior_model)
@@ -232,13 +239,13 @@ def _load_prior_map(cfg: SimpleNamespace, concepts, kind) -> dict[tuple[int, int
         pair_list = fileio.load_pairs(cfg.pairs, n, kind)
     else:
         pair_list = all_pairs(n, kind)
-    embeddings = fileio.load_embeddings(cfg.embeddings) if cfg.embeddings else None
+    embeddings = _load_embeddings(cfg)
     by_id = {c.id: c for c in concepts}
     logger.info("scoring %d pairs with the prior model", len(pair_list))
     return {
         (l, r): predict_prior(model, extract_features(by_id[l], by_id[r], embeddings))
         for l, r in pair_list
-    }
+    }, embeddings
 
 
 def _cmd_infer(cfg: SimpleNamespace) -> int:
@@ -249,7 +256,7 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
         potential = TernaryPotential.from_weights(kind, _parse_floats(cfg.weights, "--weights"))
     else:
         potential = TernaryPotential.default(kind)
-    prior_map = _load_prior_map(cfg, concepts, kind)
+    prior_map, embeddings = _load_prior_map(cfg, concepts, kind)
     lbp = LbpConfig(
         max_iterations=int(cfg.max_iters),
         damping=float(cfg.damping),
@@ -275,7 +282,7 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
         partitions = build_partitions(
             concepts, list(prior_map), prior_map, potential,
             PartitionConfig(k=int(cfg.k), default_prior=float(cfg.default_prior)),
-            embeddings=fileio.load_embeddings(cfg.embeddings) if cfg.embeddings else None,
+            embeddings=embeddings,
         )
         logger.info("built %d partitions", len(partitions))
         assignment = infer_partitions_parallel(partitions, lbp, repair=bool(cfg.repair))
@@ -427,11 +434,14 @@ def _cmd_synth(cfg: SimpleNamespace) -> int:
         files[split] = str(path)
     positives = sum(dataset.gold.values())
     echo = _config_echo(cfg)
-    # Each relationship's generator reads only its own shape options.
+    # Each relationship's generator reads only its own shape options, and
+    # equivalence reads pairs_per_concept only to sample sparse pairs.
     unread = (
         ("n_roots", "positive_fraction") if kind is RelationshipKind.EQUIVALENCE
         else ("n_clusters", "pair_mode", "pairs_per_concept")
     )
+    if kind is RelationshipKind.EQUIVALENCE and cfg.pair_mode == "all":
+        unread += ("pairs_per_concept",)
     for key in unread:
         del echo[key]
     meta = {
@@ -457,7 +467,7 @@ def _cmd_train_prior(cfg: SimpleNamespace) -> int:
     concepts = fileio.load_concepts(cfg.concepts)
     n = len(concepts)
     by_id = {c.id: c for c in concepts}
-    embeddings = fileio.load_embeddings(cfg.embeddings) if cfg.embeddings else None
+    embeddings = _load_embeddings(cfg)
 
     def examples(path: str):
         labels = fileio.load_labels(path, n, kind)

@@ -6,8 +6,9 @@ d = m(1) - m(0), and the store keeps one float per edge and direction.  A
 synchronous Jacobi round first recomputes every variable-to-factor message
 from the previous round's factor-to-variable messages, then every
 factor-to-variable message from the fresh batch.  Each new message is
-clipped to +-MESSAGE_SPREAD_CAP and damped linearly against the old one,
-and the largest absolute change of any message drives the convergence test.
+clipped to +-MESSAGE_SPREAD_CAP and damped against the old one in place,
+and the old arrays are overwritten with each edge's absolute change,
+whose maximum drives the convergence test.
 
 Messages carry no hard zeros.  Priors are clamped away from 0 and 1, every
 free configuration of a ternary table is strictly positive, and each target
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +56,9 @@ _ORACLE_CHUNK = 1 << 16
 # rate forever.  Capping it at 50 (~e^50 to one) is decision-equivalent and
 # lets saturated messages actually stop moving.
 MESSAGE_SPREAD_CAP = 50.0
+
+# 0-d float64 operands: a Python float costs every ufunc call a conversion.
+_LOW, _HIGH = np.array(-MESSAGE_SPREAD_CAP), np.array(MESSAGE_SPREAD_CAP)
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,9 @@ class LbpConfig:
 
 
 def _cap(log_odds: np.ndarray) -> np.ndarray:
-    return np.clip(log_odds, -MESSAGE_SPREAD_CAP, MESSAGE_SPREAD_CAP)
+    """Clip log-odds to +-MESSAGE_SPREAD_CAP in place and return them."""
+    np.maximum(log_odds, _LOW, out=log_odds)
+    return np.minimum(log_odds, _HIGH, out=log_odds)
 
 
 @dataclass
@@ -102,7 +107,7 @@ class MessageStore:
     table: for each target slot and each target state (0, then 1), the
     live configurations as ``(code, w)`` with ``code = 2·s_a + s_b`` the
     states of the other two slots in clique order and ``w`` the
-    configuration's log-potential as a Python float.
+    configuration's log-potential as a 0-d float64 array.
     """
 
     var_to_factor: np.ndarray  # (E,)
@@ -110,6 +115,17 @@ class MessageStore:
     edge_var: np.ndarray       # (E,)
     unary_message: np.ndarray  # (m,) unary log-odds
     plan: tuple                # [target slot][target state] -> ((code, w), ...)
+    variables: np.ndarray      # (G,) variables of each graph, each at least one
+    factors: np.ndarray        # (G,) ternary factors of each graph
+
+    def __post_init__(self) -> None:
+        # runs: the first edge of each graph's unary run, then of each nonempty
+        # ternary run; ternary_run: a graph's ternary run there, else its unary.
+        has_cliques = self.factors > 0
+        starts = self.num_variables + 3 * (np.cumsum(self.factors) - self.factors)
+        self.runs = np.concatenate([np.cumsum(self.variables) - self.variables, starts[has_cliques]])
+        self.ternary_run = np.arange(len(self.variables))
+        self.ternary_run[has_cliques] = len(self.variables) + np.arange(has_cliques.sum())
 
     @property
     def num_variables(self) -> int:
@@ -129,15 +145,14 @@ class MessageStore:
             edge_var=np.concatenate([np.arange(m, dtype=np.int64), triples.ravel()]),
             unary_message=_cap(unary_log[:, 1] - unary_log[:, 0]),
             plan=_factor_plan(graphs[0].potential),
+            variables=np.array(sizes),
+            factors=np.array([g.num_ternary_factors for g in graphs]),
         )
 
-    def take(self, variables: np.ndarray, factors: np.ndarray) -> "MessageStore":
-        """The store restricted to the masked variables and ternary factors.
-
-        Kept variables are renumbered in order; each kept factor must touch
-        kept variables only.
-        """
-        edges = np.concatenate([variables, np.repeat(factors, 3)])
+    def take(self, kept: np.ndarray) -> "MessageStore":
+        """The store restricted to the graphs that ``kept`` masks, in order."""
+        variables = np.repeat(kept, self.variables)
+        edges = np.concatenate([variables, np.repeat(kept, 3 * self.factors)])
         renumbered = np.cumsum(variables) - 1
         return replace(
             self,
@@ -145,7 +160,14 @@ class MessageStore:
             factor_to_var=self.factor_to_var[edges],
             edge_var=renumbered[self.edge_var[edges]],
             unary_message=self.unary_message[variables],
+            variables=self.variables[kept],
+            factors=self.factors[kept],
         )
+
+    def graph_deltas(self, change: np.ndarray) -> np.ndarray:
+        """Each graph's largest change over its edges."""
+        maxima = np.maximum.reduceat(change, self.runs)
+        return np.maximum(maxima[:len(self.variables)], maxima[self.ternary_run])
 
 
 # The other two slots of each target slot, in clique order.
@@ -163,30 +185,39 @@ def _factor_plan(potential: TernaryPotential) -> tuple:
             if forbidden[cfg]:
                 continue
             bits = ((cfg >> 2) & 1, (cfg >> 1) & 1, cfg & 1)
-            by_state[bits[target]].append((2 * bits[a] + bits[b], float(log_table[cfg])))
+            by_state[bits[target]].append((2 * bits[a] + bits[b], np.array(log_table[cfg])))
         plan.append(tuple(map(tuple, by_state)))
     return tuple(plan)
 
 
 def _variable_round(store: MessageStore) -> np.ndarray:
-    return _cap(_beliefs(store)[store.edge_var] - store.factor_to_var)
+    fresh = _beliefs(store).take(store.edge_var)
+    fresh -= store.factor_to_var
+    return _cap(fresh)
 
 
-def _factor_round(store: MessageStore, fresh_v2f: np.ndarray) -> np.ndarray:
-    """Ternary factor-to-variable log-odds, (3t,) in edge order."""
+def _factor_round(
+    store: MessageStore, fresh_v2f: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Ternary factor-to-variable log-odds, (3t,) in edge order, into ``out`` if given."""
     d = fresh_v2f[store.num_variables:].reshape(-1, 3)
-    out = np.empty(d.shape, dtype=np.float64)
+    out = np.empty(d.size, dtype=np.float64) if out is None else out
+    both, term, off, on = np.empty((4, len(d)))
     for target, (a, b) in enumerate(_OTHER_SLOTS):
         # A live configuration scores w plus the incoming log-odds of the
         # other slots in state 1; code 0 (both in state 0) scores w alone.
+        # Each target state's scores fold by max, in plan order, into its buffer.
         d_a, d_b = d[:, a], d[:, b]
-        added = (None, d_b, d_a, d_a + d_b)
-        off, on = (
-            reduce(np.maximum, [w + added[code] if code else w for code, w in live])
-            for live in store.plan[target]
-        )
-        out[:, target] = on - off
-    return _cap(out.ravel())
+        added = (None, d_b, d_a, np.add(d_a, d_b, out=both))
+        best = []
+        for live, buffer in zip(store.plan[target], (off, on)):
+            result = None
+            for code, w in live:
+                score = np.add(added[code], w, out=buffer if result is None else term) if code else w
+                result = score if result is None else np.maximum(result, score, out=buffer)
+            best.append(result)
+        np.subtract(best[1], best[0], out=out.reshape(-1, 3)[:, target])
+    return _cap(out)
 
 
 def jacobi_round(store: MessageStore, damping: float) -> np.ndarray:
@@ -194,29 +225,25 @@ def jacobi_round(store: MessageStore, damping: float) -> np.ndarray:
 
     An edge's change is the larger absolute move of its two messages'
     log-odds, so a graph's convergence delta is the max over its edges.
+    The change overwrites the previous round's message arrays.
     """
     m = store.num_variables
-    fresh_v2f = damping * store.var_to_factor + (1.0 - damping) * _variable_round(store)
-    # Unary messages stay pinned and are never damped.
-    fresh_f2v = np.concatenate([
-        store.unary_message,
-        damping * store.factor_to_var[m:] + (1.0 - damping) * _factor_round(store, fresh_v2f),
-    ])
-    moved = np.abs(fresh_v2f - store.var_to_factor)
-    np.maximum(moved, np.abs(fresh_f2v - store.factor_to_var), out=moved)
-    store.var_to_factor = fresh_v2f
-    store.factor_to_var = fresh_f2v
-    return moved
-
-
-def _run_maxima(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Max of each consecutive run of ``lengths[i]`` values; 0 for an empty run."""
-    out = np.zeros(len(lengths))
-    nonempty = lengths > 0
-    if nonempty.any():
-        starts = np.cumsum(lengths) - lengths
-        out[nonempty] = np.maximum.reduceat(values, starts[nonempty])
-    return out
+    keep, damping = np.array(1.0 - damping), np.array(damping)
+    old_v2f, old_f2v = store.var_to_factor, store.factor_to_var
+    fresh_v2f = _variable_round(store)
+    fresh_v2f *= keep
+    damped = np.multiply(old_v2f, damping)
+    fresh_v2f += damped
+    fresh_f2v = np.empty_like(old_f2v)
+    fresh_f2v[:m] = store.unary_message  # pinned and never damped
+    ternary = _factor_round(store, fresh_v2f, out=fresh_f2v[m:])
+    ternary *= keep
+    ternary += np.multiply(old_f2v[m:], damping, out=damped[m:])
+    store.var_to_factor, store.factor_to_var = fresh_v2f, fresh_f2v
+    old_v2f -= fresh_v2f
+    old_f2v -= fresh_f2v
+    moved = np.abs(old_v2f, out=old_v2f)
+    return np.maximum(moved, np.abs(old_f2v, out=old_f2v), out=moved)
 
 
 def _beliefs(store: MessageStore) -> np.ndarray:
@@ -337,36 +364,33 @@ def max_product_rounds(
     if not graphs:
         raise ConfigurationError("no graphs to decode")
     for index, graph in enumerate(graphs):
+        if not graph.num_variables:
+            raise ConfigurationError(f"graph {index} has no variables")
         if graph.potential != graphs[0].potential:
             raise ConfigurationError(
                 f"graph {index} has a different potential from graph 0; "
                 "a batch decodes under one shared potential"
             )
     store = MessageStore.initial(*graphs)
-    # Per graph still in the store, in store order: its index, variables
-    # and ternary factors.
-    active = np.arange(len(graphs))
-    variables = np.array([g.num_variables for g in graphs])
-    factors = np.array([g.num_ternary_factors for g in graphs])
+    active = np.arange(len(graphs))  # each graph still in the store, in store order
     out: list[Beliefs | None] = [None] * len(graphs)
     for iteration in range(1, config.max_iterations + 1):
-        change = jacobi_round(store, config.damping)
-        m = store.num_variables
-        delta = np.maximum(
-            _run_maxima(change[:m], variables), _run_maxima(change[m:], 3 * factors)
-        )
+        delta = store.graph_deltas(jacobi_round(store, config.damping))
+        last = iteration == config.max_iterations
+        if not last and np.minimum.reduce(delta) >= config.tolerance:
+            continue  # no graph froze
         converged = delta < config.tolerance  # never, at tolerance 0
-        frozen = converged | (iteration == config.max_iterations)
-        if not frozen.any():
-            continue
-        beliefs = np.split(_beliefs(store), np.cumsum(variables)[:-1])
+        frozen = converged | last
+        beliefs = _beliefs(store)
         for local in np.flatnonzero(frozen):
-            out[active[local]] = Beliefs(beliefs[local].copy(), iteration, bool(converged[local]))
+            start = store.runs[local]
+            values = beliefs[start:start + store.variables[local]].copy()
+            out[active[local]] = Beliefs(values, iteration, bool(converged[local]))
         if frozen.all():
             break
         kept = ~frozen
-        store = store.take(np.repeat(kept, variables), np.repeat(kept, factors))
-        active, variables, factors = active[kept], variables[kept], factors[kept]
+        store = store.take(kept)
+        active = active[kept]
     return out
 
 

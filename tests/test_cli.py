@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, reports, pipelines."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -279,7 +280,7 @@ class TestSynth:
     ):
         code, report = run(
             capsys, "synth", "--relationship", relationship, "--n-concepts", "12",
-            "--outdir", str(tmp_path),
+            "--pair-mode", "sparse", "--outdir", str(tmp_path),
         )
         assert code == 0
         echoed = set(report["config"])
@@ -289,6 +290,16 @@ class TestSynth:
 
     def test_bad_noise_is_config_error(self, tmp_path):
         assert main(["synth", "--noise", "0.9", "--outdir", str(tmp_path)]) == 2
+
+    def test_all_pairs_echo_no_pairs_per_concept(self, tmp_path, capsys):
+        # Equivalence over every pair samples none, so it never reads the count.
+        code, report = run(
+            capsys, "synth", "--n-concepts", "12", "--pair-mode", "all",
+            "--pairs-per-concept", "7", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        assert report["config"]["pair_mode"] == "all"
+        assert "pairs_per_concept" not in report["config"]
 
 
 class TestInferPartitioned:
@@ -466,6 +477,34 @@ class TestTrainPrior:
         assert code2 == 0
         labels = (synth_dir / "labels.csv").read_text().strip().splitlines()
         assert len(inferred["assignments"]) == len(labels) - 1
+
+    def test_partitioned_infer_parses_embeddings_once(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The prior model's features and the partition neighbours read one parse.
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train-prior", "--concepts", str(synth_dir / "concepts.csv"),
+            "--train", str(synth_dir / "train.csv"),
+            "--validation", str(synth_dir / "validation.csv"), "--output", str(model_path),
+        ]) == 0
+        embeddings = tmp_path / "embeddings.csv"
+        embeddings.write_text("id,v0,v1\n" + "".join(
+            f"{i},{math.cos(i)},{math.sin(i)}\n" for i in range(24)
+        ))
+        calls = []
+        load = concord.fileio.load_embeddings
+        monkeypatch.setattr(
+            concord.fileio, "load_embeddings", lambda path: calls.append(path) or load(path)
+        )
+        code, report = run(
+            capsys, "infer", "--concepts", str(synth_dir / "concepts.csv"),
+            "--prior-model", str(model_path), "--pairs", str(synth_dir / "labels.csv"),
+            "--embeddings", str(embeddings), "--mode", "partitioned", "--k", "3",
+        )
+        assert code == 0
+        assert calls == [str(embeddings)]
+        assert report["config"]["embeddings"] == str(embeddings)
 
     @pytest.mark.parametrize("grid", ["nan", "1.0,inf", "0"])
     def test_bad_temperature_grid_is_configuration_error(self, synth_dir, tmp_path, capsys, grid):

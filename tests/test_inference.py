@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -151,6 +152,41 @@ def reference_factor_round(graph, store, fresh_v2f):
         on = states[:, target] == 1
         out[:, target] = scores[:, on].max(axis=1) - scores[:, ~on].max(axis=1)
     return np.clip(out.ravel(), -MESSAGE_SPREAD_CAP, MESSAGE_SPREAD_CAP)
+
+
+def reference_jacobi_round(store, damping):
+    """The allocating round that the in-place ``jacobi_round`` replaced.
+
+    It builds every array afresh: ``np.clip`` caps, damping blends into new
+    arrays, the factor side folds each target state's scores with
+    ``reduce`` and the change is one ``np.abs`` per message direction.
+    ``jacobi_round`` must match its messages and change bit for bit.
+    """
+    m = store.num_variables
+    beliefs = np.bincount(store.edge_var, weights=store.factor_to_var, minlength=m)
+    variable = np.clip(
+        beliefs[store.edge_var] - store.factor_to_var, -MESSAGE_SPREAD_CAP, MESSAGE_SPREAD_CAP
+    )
+    fresh_v2f = damping * store.var_to_factor + (1.0 - damping) * variable
+    d = fresh_v2f[m:].reshape(-1, 3)
+    factor = np.empty(d.shape, dtype=np.float64)
+    for target, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+        d_a, d_b = d[:, a], d[:, b]
+        added = (None, d_b, d_a, d_a + d_b)
+        off, on = (
+            reduce(np.maximum, [w + added[code] if code else w for code, w in live])
+            for live in store.plan[target]
+        )
+        factor[:, target] = on - off
+    factor = np.clip(factor.ravel(), -MESSAGE_SPREAD_CAP, MESSAGE_SPREAD_CAP)
+    fresh_f2v = np.concatenate([
+        store.unary_message, damping * store.factor_to_var[m:] + (1.0 - damping) * factor,
+    ])
+    moved = np.abs(fresh_v2f - store.var_to_factor)
+    np.maximum(moved, np.abs(fresh_f2v - store.factor_to_var), out=moved)
+    store.var_to_factor = fresh_v2f
+    store.factor_to_var = fresh_f2v
+    return moved
 
 
 def check_message_sanity(store):
@@ -641,6 +677,93 @@ class TestBatchedDecoding:
             _decode_batch(graphs)
         with pytest.raises(ConfigurationError):
             _decode_batch([])
+
+
+def _round_graph(rng, kind, weights, mode):
+    """A graph for the round checks: dense, or a sparse subset of the pairs."""
+    if weights == "random":
+        weights = (1.0, *(float(rng.uniform(0.05, 1.0)) for _ in range(kind.num_weights - 1)))
+    elif weights == "flat":
+        weights = (1.0,) * kind.num_weights
+    n = 8 if kind.symmetric else 6
+    every = list(
+        itertools.combinations(range(n), 2) if kind.symmetric
+        else itertools.permutations(range(n), 2)
+    )
+    pairs = every if mode == "dense" else [p for p in every if rng.random() < 0.5]
+    priors = {pair: float(rng.uniform(0.02, 0.98)) for pair in pairs}
+    return _graph(priors, n=n, kind=kind, weights=weights, mode=mode)
+
+
+def _assert_rounds_match_reference(graphs, damping, rounds):
+    """``jacobi_round`` and the reference round agree bit for bit after each round."""
+    store, reference = MessageStore.initial(*graphs), MessageStore.initial(*graphs)
+    for index in range(rounds):
+        change = jacobi_round(store, damping)
+        expected = reference_jacobi_round(reference, damping)
+        for got, want in (
+            (change, expected),
+            (store.var_to_factor, reference.var_to_factor),
+            (store.factor_to_var, reference.factor_to_var),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f"round {index + 1}"
+    return store, change
+
+
+class TestInPlaceRound:
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    @pytest.mark.parametrize("weights", [None, "flat", "random"])
+    @pytest.mark.parametrize("damping", [0.0, 0.5, 0.85])
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_round_bitwise_equals_reference(self, kind, weights, damping, mode):
+        rng = np.random.default_rng(41)
+        graph = _round_graph(rng, kind, weights, mode)
+        assert graph.num_ternary_factors > 0
+        _assert_rounds_match_reference([graph], damping, rounds=12)
+
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    @pytest.mark.parametrize("damping", [0.0, 0.5, 0.85])
+    def test_batch_with_a_cliqueless_graph(self, kind, damping):
+        # Graphs without cliques leave empty ternary runs, first, inside
+        # and last in the store; each graph's delta is still its own max.
+        rng = np.random.default_rng(43)
+        potential = _random_potential(rng, kind)
+        shapes = ["unary", "dense", "unary", "dense", "unary"]
+        graphs = [_random_graph(rng, kind, potential, shape) for shape in shapes]
+        assert [g.num_ternary_factors == 0 for g in graphs] == [True, False, True, False, True]
+        store, change = _assert_rounds_match_reference(graphs, damping, rounds=6)
+        m = store.num_variables
+        unary_start = np.cumsum([0, *(g.num_variables for g in graphs)])
+        ternary_start = m + 3 * np.cumsum([0, *(g.num_ternary_factors for g in graphs)])
+        expected = [
+            max(
+                change[unary_start[i]:unary_start[i + 1]].max(),
+                change[ternary_start[i]:ternary_start[i + 1]].max(initial=0.0),
+            )
+            for i in range(len(graphs))
+        ]
+        assert store.graph_deltas(change).tolist() == expected
+
+    def test_take_keeps_each_graphs_runs(self):
+        rng = np.random.default_rng(47)
+        potential = TernaryPotential.default(EQ)
+        graphs = [_random_graph(rng, EQ, potential, s) for s in ("dense", "unary", "sparse", "unary")]
+        store = MessageStore.initial(*graphs)
+        for _ in range(3):
+            jacobi_round(store, 0.5)
+        kept = np.array([False, True, True, False])
+        taken = store.take(kept)
+        alone = MessageStore.initial(*(g for g, k in zip(graphs, kept) if k))
+        for name in ("edge_var", "unary_message", "variables", "factors", "runs", "ternary_run"):
+            np.testing.assert_array_equal(getattr(taken, name), getattr(alone, name), err_msg=name)
+        change = jacobi_round(taken, 0.5)
+        assert taken.graph_deltas(change).shape == (2,)
+
+    def test_refuses_a_graph_without_variables(self):
+        graph = _graph({(0, 1): 0.9})
+        empty = dataclasses.replace(graph, pairs=(), unary_log=graph.unary_log[:0])
+        with pytest.raises(ConfigurationError, match="graph 1 has no variables"):
+            max_product_rounds([graph, empty])
 
 
 class TestExactOracle:

@@ -464,6 +464,11 @@ def _cmd_synth(cfg: SimpleNamespace) -> int:
 def _cmd_train_prior(cfg: SimpleNamespace) -> int:
     _require(cfg, "concepts", "train", "validation")
     kind = _kind(cfg.relationship)
+    train_config = TrainConfig(
+        learning_rate=float(cfg.learning_rate),
+        epochs=int(cfg.epochs),
+        class_weighted=bool(cfg.class_weights),
+    )
     concepts = fileio.load_concepts(cfg.concepts)
     n = len(concepts)
     by_id = {c.id: c for c in concepts}
@@ -478,14 +483,7 @@ def _cmd_train_prior(cfg: SimpleNamespace) -> int:
 
     train_examples = examples(cfg.train)
     validation_examples = examples(cfg.validation)
-    model = train_linear_prior(
-        train_examples,
-        TrainConfig(
-            learning_rate=float(cfg.learning_rate),
-            epochs=int(cfg.epochs),
-            class_weighted=bool(cfg.class_weights),
-        ),
-    )
+    model = train_linear_prior(train_examples, train_config)
     grid = _parse_floats(cfg.temperature_grid, "--temperature-grid")
     model = calibrate_temperature(model, validation_examples, grid)
     predictions = {

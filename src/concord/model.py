@@ -9,7 +9,9 @@ label configurations that would break transitivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from functools import cached_property
 from enum import Enum
 from typing import Sequence
 
@@ -96,6 +98,44 @@ def num_variables(n: int, kind: RelationshipKind) -> int:
     return n * (n - 1)
 
 
+QGRAM_SIZE = 3
+
+_TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
+
+
+def qgrams(text: str) -> list[str]:
+    """Character ``QGRAM_SIZE``-grams of an already lower-cased name, in
+    order; a shorter name is its own single gram."""
+    if len(text) < QGRAM_SIZE:
+        return [text]
+    return [text[i : i + QGRAM_SIZE] for i in range(len(text) - QGRAM_SIZE + 1)]
+
+
+def char_masks(text: str) -> tuple[dict[str, int], int]:
+    """Per-character bitmasks of ``text`` (bit i set where ``text[i]`` is
+    that character) and the mask of all ``len(text)`` bits: the table the
+    bit-parallel edit distance walks the other string against."""
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in text:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    return peq, bit - 1
+
+
+@dataclass(frozen=True, slots=True)
+class NameSignals:
+    """Everything a pair feature reads from one concept, computed once."""
+
+    name: str  # lower-cased
+    words: int  # word tokens, repeats counted
+    tokens: frozenset[str]
+    grams: frozenset[str]
+    peq: dict[str, int]
+    mask: int
+    values: frozenset[str]  # lower-cased sample values
+
+
 @dataclass(frozen=True)
 class Concept:
     """A vocabulary entry: integer id, display name, optional sample values."""
@@ -110,6 +150,27 @@ class Concept:
         if not self.name.strip():
             raise ValueError(f"concept {self.id} has an empty name")
         object.__setattr__(self, "values", tuple(self.values))
+
+    @cached_property
+    def signals(self) -> NameSignals:
+        """This concept's side of every pair feature, built on first use and
+        shared by all of its pairs.  It is not a field, so equality, hashing,
+        repr and pickling see only id, name and values."""
+        name = self.name.lower()
+        tokens = [t for t in _TOKEN_SPLIT.split(name) if t]
+        peq, mask = char_masks(name)
+        return NameSignals(
+            name=name,
+            words=len(tokens),
+            tokens=frozenset(tokens),
+            grams=frozenset(qgrams(name)),
+            peq=peq,
+            mask=mask,
+            values=frozenset(v.lower() for v in self.values),
+        )
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def validate_vocabulary(concepts: Sequence[Concept]) -> int:

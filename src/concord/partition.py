@@ -38,9 +38,9 @@ from .model import (
     Concept,
     PriorBelief,
     TernaryPotential,
+    qgrams,
     validate_vocabulary,
 )
-from .priors import qgrams
 
 logger = logging.getLogger(__name__)
 

@@ -2,21 +2,26 @@
 
 Features only look at the two concepts, never at graph structure, so the
 prior for a pair is independent of every other pair.  All features are
-symmetric in their arguments.
+symmetric in their arguments.  What a feature reads from one concept (its
+lowered name, tokens, q-grams, edit-distance bitmasks and lowered values)
+is ``Concept.signals``: computed once per concept and shared by all of its
+pairs.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InputFormatError
 from .fileio import PRIORS_HEADER, parse_float, read_pair_rows
-from .model import Concept, PriorBelief, RelationshipKind
+# QGRAM_SIZE and qgrams live in model, beside the Concept signals built from
+# them, and are re-exported here.
+from .model import QGRAM_SIZE, Concept, PriorBelief, RelationshipKind, char_masks, qgrams  # noqa: F401
 
 FEATURE_NAMES = (
     "qgram_similarity",
@@ -28,12 +33,8 @@ FEATURE_NAMES = (
     "embedding_cosine",
 )
 
-QGRAM_SIZE = 3
-
 # Temperatures calibrate_temperature tries by default.
 TEMPERATURE_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
-
-_TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -67,49 +68,28 @@ class FeatureVector:
         )
 
 
-def _tokens(text: str) -> list[str]:
-    """Word tokens of an already lower-cased name."""
-    return [t for t in _TOKEN_SPLIT.split(text) if t]
-
-
-def qgrams(text: str) -> list[str]:
-    """Character ``QGRAM_SIZE``-grams of an already lower-cased name, in
-    order; a shorter name is its own single gram."""
-    if len(text) < QGRAM_SIZE:
-        return [text]
-    return [text[i : i + QGRAM_SIZE] for i in range(len(text) - QGRAM_SIZE + 1)]
-
-
-def _jaccard(a: frozenset | set, b: frozenset | set) -> float:
+def _jaccard(a: frozenset, b: frozenset) -> float:
     if not a and not b:
         return 1.0
     if not a or not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
-def _levenshtein(a: str, b: str) -> int:
-    """Edit distance by the bit-parallel algorithm of Myers (1999), in the
-    form Hyyrö (2001) gives for Levenshtein distance.
+def _edit_distance(text: str, peq: Mapping[str, int], mask: int) -> int:
+    """Edit distance between ``text`` and the string whose ``char_masks``
+    are ``peq`` and ``mask``, by the bit-parallel algorithm of Myers (1999)
+    in the form Hyyrö (2001) gives for Levenshtein distance.
 
     Bit i of pv/mv says the DP column steps up/down by one at row i of the
-    shorter string; one pass over the longer string updates all rows at
-    once, and the last column, read off at the end, holds the distance.
-    Python ints are unbounded, so names of any length take the same path.
-    Equal to the two-row DP reference in the tests for every input.
+    masked string; one pass over ``text`` updates all rows at once, and the
+    last column, read off at the end, holds the distance.  Python ints are
+    unbounded, so names of any length take the same path.  Masking the
+    shorter of the two strings keeps the ints smallest.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    bit = 1
-    for c in b:
-        peq[c] = peq.get(c, 0) | bit
-        bit <<= 1
-    mask = bit - 1
     pv, mv = mask, 0
-    for c in a:
+    for c in text:
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -118,8 +98,16 @@ def _levenshtein(a: str, b: str) -> int:
         ph = (ph << 1) | 1
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    # The top cell of the last column is len(a); add its vertical steps.
-    return len(a) + pv.bit_count() - mv.bit_count()
+    # The top cell of the last column is len(text); add its vertical steps.
+    return len(text) + pv.bit_count() - mv.bit_count()
+
+
+def _levenshtein(a: str, b: str) -> int:
+    """Edit distance between two strings; equal to the two-row DP reference
+    in the tests for every input."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _edit_distance(a, *char_masks(b))
 
 
 def _ratio(x: int, y: int) -> float:
@@ -144,29 +132,26 @@ def extract_features(
     embeddings: Mapping[int, np.ndarray] | None = None,
 ) -> FeatureVector:
     """Symmetric similarity features between two concepts."""
-    name_a = a.name.lower()
-    name_b = b.name.lower()
-    tokens_a = _tokens(name_a)
-    tokens_b = _tokens(name_b)
-    max_len = max(len(name_a), len(name_b))
-    edit_sim = 1.0 - _levenshtein(name_a, name_b) / max_len if max_len else 1.0
+    sa, sb = a.signals, b.signals
+    if len(sa.name) < len(sb.name):
+        sa, sb = sb, sa
+    max_len = len(sa.name)
+    edit_sim = 1.0 - _edit_distance(sa.name, sb.peq, sb.mask) / max_len if max_len else 1.0
 
     value_jaccard = None
-    if a.values and b.values:
-        value_jaccard = _jaccard(
-            {v.lower() for v in a.values}, {v.lower() for v in b.values}
-        )
+    if sa.values and sb.values:
+        value_jaccard = _jaccard(sa.values, sb.values)
 
     embedding_cosine = None
     if embeddings is not None and a.id in embeddings and b.id in embeddings:
         embedding_cosine = _cosine(embeddings[a.id], embeddings[b.id])
 
     return FeatureVector(
-        qgram_similarity=_jaccard(frozenset(qgrams(name_a)), frozenset(qgrams(name_b))),
-        token_jaccard=_jaccard(set(tokens_a), set(tokens_b)),
+        qgram_similarity=_jaccard(sa.grams, sb.grams),
+        token_jaccard=_jaccard(sa.tokens, sb.tokens),
         edit_similarity=edit_sim,
-        word_count_ratio=_ratio(len(tokens_a), len(tokens_b)),
-        char_count_ratio=_ratio(len(name_a), len(name_b)),
+        word_count_ratio=_ratio(sa.words, sb.words),
+        char_count_ratio=_ratio(len(sa.name), len(sb.name)),
         value_jaccard=value_jaccard,
         embedding_cosine=embedding_cosine,
     )
@@ -186,9 +171,15 @@ class LinearPriorModel:
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
+    @cached_property
+    def _weight_array(self) -> np.ndarray:
+        weights = np.asarray(self.weights)
+        weights.flags.writeable = False
+        return weights
+
     def logit(self, features: FeatureVector | np.ndarray) -> float:
         x = features.as_array() if isinstance(features, FeatureVector) else np.asarray(features)
-        return float(np.dot(np.asarray(self.weights), x) + self.bias)
+        return float(np.dot(self._weight_array, x) + self.bias)
 
     def with_temperature(self, temperature: float) -> "LinearPriorModel":
         return replace(self, temperature=float(temperature))
@@ -222,6 +213,15 @@ class TrainConfig:
     learning_rate: float = 1.0
     epochs: int = 500
     class_weighted: bool = True
+
+    def __post_init__(self) -> None:
+        # Any of these leaves the all-zero starting model untouched.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be at least 1, got {self.epochs}")
 
 
 def _weighted_loss_grad(

@@ -518,6 +518,30 @@ class TestTrainPrior:
         ]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--learning-rate", "-1"),
+        ("--learning-rate", "0"),
+        ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"),
+        ("--epochs", "0"),
+        ("--epochs", "-5"),
+    ])
+    def test_bad_training_setting_is_configuration_error(
+        self, synth_dir, tmp_path, capsys, flag, value
+    ):
+        # Each would train nothing and write an all-zero model.
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train-prior",
+            "--concepts", str(synth_dir / "concepts.csv"),
+            "--train", str(synth_dir / "train.csv"),
+            "--validation", str(synth_dir / "validation.csv"),
+            flag, value,
+            "--output", str(model_path),
+        ]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("model", [
         {"weights": [0, 0], "bias": 0},
         {"weights": [0] * 7, "bias": 0, "temperature": 0},

@@ -1,6 +1,9 @@
 """String features, the logistic prior model, calibration, CSV ingestion."""
 
+import dataclasses
 import math
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -11,14 +14,18 @@ from concord.errors import ConfigurationError, InputFormatError
 from concord.model import PRIOR_EPSILON, Concept, RelationshipKind
 from concord.priors import (
     FEATURE_NAMES,
+    QGRAM_SIZE,
     FeatureVector,
     LinearPriorModel,
     TrainConfig,
+    _cosine,
     _levenshtein,
+    _ratio,
     calibrate_temperature,
     extract_features,
     load_external_priors,
     predict_prior,
+    qgrams,
     train_linear_prior,
 )
 
@@ -45,6 +52,45 @@ def reference_levenshtein(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
+
+
+def _reference_jaccard(a: set, b: set) -> float:
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    return len(a & b) / len(a | b)
+
+
+def reference_features(a: Concept, b: Concept, embeddings=None) -> FeatureVector:
+    """Features built from both names on every call, with no per-concept
+    signals: the scalar reference for extract_features."""
+    name_a = a.name.lower()
+    name_b = b.name.lower()
+    tokens_a = [t for t in re.split(r"[\W_]+", name_a) if t]
+    tokens_b = [t for t in re.split(r"[\W_]+", name_b) if t]
+    max_len = max(len(name_a), len(name_b))
+    edit_sim = 1.0 - reference_levenshtein(name_a, name_b) / max_len if max_len else 1.0
+
+    value_jaccard = None
+    if a.values and b.values:
+        value_jaccard = _reference_jaccard(
+            {v.lower() for v in a.values}, {v.lower() for v in b.values}
+        )
+
+    embedding_cosine = None
+    if embeddings is not None and a.id in embeddings and b.id in embeddings:
+        embedding_cosine = _cosine(embeddings[a.id], embeddings[b.id])
+
+    return FeatureVector(
+        qgram_similarity=_reference_jaccard(set(qgrams(name_a)), set(qgrams(name_b))),
+        token_jaccard=_reference_jaccard(set(tokens_a), set(tokens_b)),
+        edit_similarity=edit_sim,
+        word_count_ratio=_ratio(len(tokens_a), len(tokens_b)),
+        char_count_ratio=_ratio(len(name_a), len(name_b)),
+        value_jaccard=value_jaccard,
+        embedding_cosine=embedding_cosine,
+    )
 
 
 class TestEditDistance:
@@ -156,6 +202,72 @@ class TestFeatures:
         assert (arr >= -1.0).all() and (arr <= 1.0).all()
 
 
+_concept_names = _edit_text.filter(str.strip)
+_value_sets = st.lists(_edit_text, max_size=4).map(tuple)
+_vectors = st.lists(
+    st.floats(min_value=-4.0, max_value=4.0, allow_subnormal=False), min_size=3, max_size=3
+).map(np.array)
+
+
+def _bits(features: FeatureVector) -> bytes:
+    return features.as_array().tobytes()
+
+
+class TestCachedSignals:
+    @settings(max_examples=300)
+    @given(
+        _concept_names, _concept_names, _value_sets, _value_sets,
+        st.none() | st.tuples(_vectors, _vectors),
+    )
+    def test_equal_to_reference_features(self, name_a, name_b, values_a, values_b, vectors):
+        embeddings = None if vectors is None else dict(enumerate(vectors))
+        a, b = Concept(0, name_a, values_a), Concept(1, name_b, values_b)
+        for left, right in ((a, b), (b, a)):
+            expected = reference_features(left, right, embeddings)
+            got = extract_features(left, right, embeddings)
+            assert got == expected
+            assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize("name_a, name_b", [
+        ("İstanbul", "istanbul"),  # "İ".lower() is two code points
+        ("__", "--"),  # punctuation only: no word tokens
+        ("ab", "a"),  # both shorter than QGRAM_SIZE
+        ("x", "xyz_abc"),
+    ])
+    def test_edge_names(self, name_a, name_b):
+        a, b = Concept(0, name_a, ("V",)), Concept(1, name_b, ("v", "w"))
+        for left, right in ((a, b), (b, a)):
+            assert _bits(extract_features(left, right)) == _bits(reference_features(left, right))
+        assert len(Concept(0, "ab").signals.name) < QGRAM_SIZE
+        assert Concept(0, "ab").signals.grams == frozenset({"ab"})
+        assert Concept(0, "__").signals.tokens == frozenset()
+        assert len(Concept(0, "İ").signals.name) == 2
+
+    def test_signals_are_not_fields(self):
+        c = Concept(3, "Street Address", ("Main St", "main st"))
+        twin = Concept(3, "Street Address", ("Main St", "main st"))
+        before = (repr(c), hash(c), pickle.dumps(c), dataclasses.fields(c))
+        extract_features(c, Concept(4, "address"))
+        assert "signals" in vars(c)  # computed once and kept on the concept
+        assert (repr(c), hash(c), pickle.dumps(c), dataclasses.fields(c)) == before
+        assert [f.name for f in dataclasses.fields(c)] == ["id", "name", "values"]
+        assert c == twin and hash(c) == hash(twin)
+        again = pickle.loads(pickle.dumps(c))
+        assert again == c and "signals" not in vars(again)
+        assert again.signals == c.signals
+
+    def test_replaced_concept_gets_fresh_signals(self):
+        c = Concept(0, "Street Address", ("A",))
+        old = c.signals
+        renamed = dataclasses.replace(c, name="zip code")
+        assert renamed.signals.name == "zip code"
+        assert renamed.signals.tokens == frozenset({"zip", "code"})
+        assert dataclasses.replace(c, values=("B",)).signals.values == frozenset({"b"})
+        assert c.signals is old
+        other = Concept(1, "zip code")
+        assert extract_features(renamed, other) == reference_features(renamed, other)
+
+
 class TestLinearModel:
     def test_sigmoid_values(self):
         model = LinearPriorModel(weights=(1.0,) + (0.0,) * 6, bias=0.0)
@@ -175,6 +287,23 @@ class TestLinearModel:
         model = LinearPriorModel(weights=tuple(range(7)), bias=-0.5, temperature=2.0)
         again = LinearPriorModel.from_dict(model.to_dict())
         assert again == model
+
+    @settings(max_examples=100)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_logit_equals_a_fresh_dot_product(self, seed):
+        rng = np.random.default_rng(seed)
+        weights = tuple(float(w) for w in rng.normal(size=7) * rng.uniform(0.1, 50.0))
+        model = LinearPriorModel(weights=weights, bias=float(rng.normal()))
+        untouched = LinearPriorModel.from_dict(model.to_dict())
+        for _ in range(10):
+            x = rng.normal(size=7)
+            expected = float(np.dot(np.asarray(weights), x) + model.bias)
+            assert model.logit(x).hex() == expected.hex()
+        # The cached weight array is invisible to equality and serialization.
+        assert model == untouched and hash(model) == hash(untouched)
+        assert model.to_dict() == untouched.to_dict()
+        assert LinearPriorModel.from_dict(model.to_dict()) == model
+        assert model.with_temperature(2.0).logit(x) == model.logit(x)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -272,6 +401,19 @@ class TestTraining:
             train_linear_prior([])
         with pytest.raises(ConfigurationError):
             train_linear_prior([(x, 1), (x, 1)])
+
+    @pytest.mark.parametrize("settings_", [
+        {"learning_rate": -1.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"epochs": 0},
+        {"epochs": -5},
+    ])
+    def test_rejects_settings_that_train_nothing(self, settings_):
+        # Each would leave the all-zero starting model untouched.
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**settings_)
 
 
 class TestCalibration:

@@ -316,6 +316,7 @@ def _cmd_infer(cfg: SimpleNamespace) -> int:
         {
             "iterations": assignment.iterations,
             "converged": assignment.converged,
+            "last_label_change": assignment.last_label_change,
             "violations": len(assignment.violations),
             "prior_flips": flipped,
             "log_score": assignment.log_score,

@@ -26,14 +26,28 @@ Unary factors have degree one, so their outgoing message is pinned to the
 unary log-odds and is not damped; a graph without ternary factors therefore
 converges in two rounds to the prior argmax.
 
+Each round ends with one ``bincount`` of the fresh factor-to-variable
+messages: the variables' beliefs.  They decide the labels (belief > 0) and
+feed the next round's variable update, so watching the labels costs no
+extra pass over the edges.  A graph stops at the first of three events:
+its delta (the largest change over its edges) falls below the tolerance,
+its labels have not changed for STABLE_ROUNDS rounds in a row, or it
+reaches the round cap.  Under a table that keeps messages moving, the
+delta can plateau well above any tolerance while the labels stay still;
+the label stop ends such a decode at its last label change plus
+STABLE_ROUNDS.  A tolerance of 0 turns both early stops off.  On the
+bench's ``tune`` workload (2-vCPU container) the label stop took an answer
+from about 795 message rounds to 310 and its median wall time from 0.078
+to 0.034 s; ``dense`` still stops on its delta at round 29.
+
 Several graphs under one potential decode as a batch: one message store
 holds their disjoint union, and each round runs the same kernels over all
 of it.  Every step is edge-wise except the variable-side sums, which add
 each variable's edges in the same order as a store of its graph alone, so
 each graph's messages match a lone decode bit for bit.  After a round each
-graph takes its own delta; a graph that converged or reached the round cap
-is frozen, its beliefs read off, and the store shrinks to the graphs still
-running.  A single graph is a batch of one.
+graph takes its own delta and label test; a graph that stops is frozen,
+its beliefs read off, and the store shrinks to the graphs still running.
+A single graph is a batch of one.
 """
 
 from __future__ import annotations
@@ -57,6 +71,12 @@ _ORACLE_CHUNK = 1 << 16
 # lets saturated messages actually stop moving.
 MESSAGE_SPREAD_CAP = 50.0
 
+# Rounds in a row with unchanged labels after which a decode stops.  A
+# decode whose delta converges within this window keeps its round count:
+# the bench's dense graph converges at round 29 and the three-pair conflict
+# instance after more than twenty, so windows of 10 or 20 cut those short.
+STABLE_ROUNDS = 30
+
 # 0-d float64 operands: a Python float costs every ufunc call a conversion.
 _LOW, _HIGH = np.array(-MESSAGE_SPREAD_CAP), np.array(MESSAGE_SPREAD_CAP)
 
@@ -65,9 +85,10 @@ _LOW, _HIGH = np.array(-MESSAGE_SPREAD_CAP), np.array(MESSAGE_SPREAD_CAP)
 class LbpConfig:
     """Knobs for loopy max-product.
 
-    tolerance = 0 disables early stopping and forces the full iteration
-    budget; any positive value stops once no message's log-odds moved that
-    much in a round.
+    A positive tolerance stops a decode once no message's log-odds moved
+    that much in a round, or once its labels have held for STABLE_ROUNDS
+    rounds in a row, whichever comes first.  tolerance = 0 disables both
+    early stops and forces the full iteration budget.
     """
 
     max_iterations: int = 200
@@ -190,8 +211,9 @@ def _factor_plan(potential: TernaryPotential) -> tuple:
     return tuple(plan)
 
 
-def _variable_round(store: MessageStore) -> np.ndarray:
-    fresh = _beliefs(store).take(store.edge_var)
+def _variable_round(store: MessageStore, beliefs: np.ndarray | None = None) -> np.ndarray:
+    beliefs = _beliefs(store) if beliefs is None else beliefs
+    fresh = beliefs.take(store.edge_var)
     fresh -= store.factor_to_var
     return _cap(fresh)
 
@@ -220,17 +242,21 @@ def _factor_round(
     return _cap(out)
 
 
-def jacobi_round(store: MessageStore, damping: float) -> np.ndarray:
+def jacobi_round(
+    store: MessageStore, damping: float, beliefs: np.ndarray | None = None
+) -> np.ndarray:
     """Run one synchronous round in place; return each edge's change.
 
     An edge's change is the larger absolute move of its two messages'
     log-odds, so a graph's convergence delta is the max over its edges.
     The change overwrites the previous round's message arrays.
+    ``beliefs`` are ``_beliefs(store)`` before the round, when the caller
+    already holds them; otherwise the round computes them.
     """
     m = store.num_variables
     keep, damping = np.array(1.0 - damping), np.array(damping)
     old_v2f, old_f2v = store.var_to_factor, store.factor_to_var
-    fresh_v2f = _variable_round(store)
+    fresh_v2f = _variable_round(store, beliefs)
     fresh_v2f *= keep
     damped = np.multiply(old_v2f, damping)
     fresh_v2f += damped
@@ -341,11 +367,18 @@ def greedy_repair(
 
 @dataclass(frozen=True)
 class Beliefs:
-    """A graph's max-marginal belief log-odds where its message rounds stopped."""
+    """A graph's max-marginal belief log-odds where its message rounds stopped.
+
+    ``converged`` is True when an early stop, on the delta or on stable
+    labels, ended the rounds, and False when they ran out the round cap.
+    ``last_label_change`` is the round whose labels the decode returns: the
+    last round whose labels differed from the round before, or 1.
+    """
 
     values: np.ndarray  # (m,)
     iterations: int
     converged: bool
+    last_label_change: int | None = None
 
 
 def max_product_rounds(
@@ -354,11 +387,12 @@ def max_product_rounds(
     """Run message rounds on several graphs in one store over their union.
 
     The graphs must share one potential.  After each round every graph
-    takes its own delta, the largest change over its edges; a graph whose
-    delta fell below the tolerance, or that reached the round cap, is
-    frozen: its beliefs are read off and its rows leave the store.  Each
-    graph's beliefs, round count and convergence flag are bitwise those of
-    running it alone.
+    takes its own delta, the largest change over its edges, and compares
+    its labels with the round before.  A graph stops when its delta fell
+    below the tolerance, when its labels have held for STABLE_ROUNDS
+    rounds, or at the round cap: its beliefs are read off and its rows
+    leave the store.  Each graph's beliefs, round count and flags are
+    bitwise those of running it alone.
     """
     config = config or LbpConfig()
     if not graphs:
@@ -374,23 +408,38 @@ def max_product_rounds(
     store = MessageStore.initial(*graphs)
     active = np.arange(len(graphs))  # each graph still in the store, in store order
     out: list[Beliefs | None] = [None] * len(graphs)
+    beliefs = _beliefs(store)
+    labels = beliefs > 0
+    settled = np.ones(len(graphs), dtype=np.int64)  # each graph's last label change
+    # Labels must hold this many rounds past their last change.  Since the
+    # first change is at round 1 or later, a window of the whole budget is
+    # never reached: at tolerance 0 both early stops are off.
+    window = STABLE_ROUNDS if config.tolerance > 0 else config.max_iterations
     for iteration in range(1, config.max_iterations + 1):
-        delta = store.graph_deltas(jacobi_round(store, config.damping))
-        last = iteration == config.max_iterations
-        if not last and np.minimum.reduce(delta) >= config.tolerance:
-            continue  # no graph froze
-        converged = delta < config.tolerance  # never, at tolerance 0
-        frozen = converged | last
+        delta = store.graph_deltas(jacobi_round(store, config.damping, beliefs))
         beliefs = _beliefs(store)
+        fresh = beliefs > 0
+        # A graph's variables start where its unary edges do.
+        settled[np.logical_or.reduceat(fresh != labels, store.runs[:len(delta)])] = iteration
+        labels = fresh
+        converged = (delta < config.tolerance) | (settled <= iteration - window)
+        last = iteration == config.max_iterations
+        if not last and not converged.any():
+            continue  # no graph froze
+        frozen = converged | last
         for local in np.flatnonzero(frozen):
             start = store.runs[local]
             values = beliefs[start:start + store.variables[local]].copy()
-            out[active[local]] = Beliefs(values, iteration, bool(converged[local]))
+            out[active[local]] = Beliefs(
+                values, iteration, bool(converged[local]), int(settled[local])
+            )
         if frozen.all():
             break
         kept = ~frozen
+        variables = np.repeat(kept, store.variables)
         store = store.take(kept)
-        active = active[kept]
+        beliefs, labels = beliefs[variables], labels[variables]
+        active, settled = active[kept], settled[kept]
     return out
 
 
@@ -421,6 +470,7 @@ def lbp_map(
         violations=violations,
         iterations=beliefs.iterations,
         converged=beliefs.converged,
+        last_label_change=beliefs.last_label_change,
         margins=margins,
     )
     if repair and violations:

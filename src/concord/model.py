@@ -287,7 +287,10 @@ class AssignmentGraph:
     the cliques whose configuration is forbidden, in clique order, which is
     what ``audit_labels`` of the label map reports: the graph's own cliques
     for a single decode, a global audit of the merged labels for a
-    partitioned run.
+    partitioned run.  ``converged`` is True when an early stop ended the
+    message rounds before the round cap, and ``last_label_change`` is the
+    round whose labels the rounds returned (for a partitioned run, the
+    latest over its partitions).
     """
 
     kind: RelationshipKind
@@ -297,6 +300,7 @@ class AssignmentGraph:
     violations: list
     iterations: int | None = None
     converged: bool | None = None
+    last_label_change: int | None = None
     margins: np.ndarray | None = None
     repaired: bool = False
     pre_repair: dict | None = None

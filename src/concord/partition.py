@@ -248,6 +248,7 @@ def infer_partitions_parallel(
         violations=audit_labels(dict(zip(pairs, labels.tolist())), kind)[1],
         iterations=max(d.iterations for d in decodes),
         converged=all(d.converged for d in decodes),
+        last_label_change=max(d.last_label_change for d in decodes),
         margins=np.concatenate([d.margins for d in decodes]),
         repaired=any(d.repaired for d in decodes),
         partition_summaries=[
@@ -257,6 +258,7 @@ def infer_partitions_parallel(
                 "ternary_factors": part.graph.num_ternary_factors,
                 "iterations": d.iterations,
                 "converged": d.converged,
+                "last_label_change": d.last_label_change,
                 "log_score": d.log_score,
                 "repaired": d.repaired,
                 "violations": len(d.violations),

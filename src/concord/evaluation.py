@@ -103,10 +103,7 @@ def cliques_among(labels: PairLabels, kind: RelationshipKind) -> Cliques:
     A clique's variables are the positions of its pairs in the map's
     iteration order.  The keys are already canonical for ``kind``, so the
     walk itself needs no kind.  A self-pair key would close cliques that
-    repeat a concept, so it raises ``ConfigurationError``.  A map whose
-    keys come in code order, as every decode and merge builds them, is
-    walked as it is; any other is sorted first and its positions mapped
-    back.
+    repeat a concept, so it raises ``ConfigurationError``.
     """
     pairs = np.fromiter(itertools.chain.from_iterable(labels), np.int64, 2 * len(labels))
     selves = np.flatnonzero(pairs[0::2] == pairs[1::2])
@@ -115,8 +112,6 @@ def cliques_among(labels: PairLabels, kind: RelationshipKind) -> Cliques:
         raise ConfigurationError(f"label map holds the self-pair ({i}, {i})")
     n = int(pairs.max(initial=-1)) + 1
     codes = pairs[0::2] * n + pairs[1::2]
-    if (codes[1:] > codes[:-1]).all():
-        return enumerate_ternary_cliques(codes, n)
     order = codes.argsort()
     cliques = enumerate_ternary_cliques(codes[order], n)
     return Cliques(cliques.concepts, order[cliques.variables])

@@ -88,7 +88,8 @@ class LbpConfig:
     A positive tolerance stops a decode once no message's log-odds moved
     that much in a round, or once its labels have held for STABLE_ROUNDS
     rounds in a row, whichever comes first.  tolerance = 0 disables both
-    early stops and forces the full iteration budget.
+    early stops and forces the full iteration budget.  A decode reports
+    ``converged`` when either early stop ended it before max_iterations.
     """
 
     max_iterations: int = 200

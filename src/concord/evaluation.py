@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import Cliques, all_pairs, enumerate_ternary_cliques
+from .graph import Cliques, all_pairs, configuration_codes, enumerate_ternary_cliques
 from .model import Concept, RelationshipKind
 
 PairLabels = Mapping[tuple[int, int], int]
@@ -91,8 +91,8 @@ def count_transitivity_violations(
     map's iteration order, and each clique's code 4*x_ij + 2*x_jk + x_ik
     indexes ``kind.forbidden``.  Returns the count and the broken triples.
     """
-    x = np.fromiter(labels.values(), np.int8, len(labels))[cliques.variables]
-    broken = kind.forbidden[4 * x[:, 0] + 2 * x[:, 1] + x[:, 2]]
+    x = np.fromiter(labels.values(), np.int8, len(labels))
+    broken = kind.forbidden[configuration_codes(x, cliques.variables)]
     violating = list(map(tuple, cliques.concepts[broken].tolist()))
     return len(violating), violating
 

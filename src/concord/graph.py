@@ -94,6 +94,17 @@ class Cliques:
         return map(tuple, self.concepts.tolist())
 
 
+def configuration_codes(labels: np.ndarray, variables: np.ndarray) -> np.ndarray:
+    """Each clique's table index 4*x_ij + 2*x_jk + x_ik under ``labels``.
+
+    ``variables`` holds the cliques as (t, 3) rows of variable ids in slot
+    order.  The last axis of ``labels`` is indexed by variable, so a (B, m)
+    batch of labellings gives (B, t) codes, row by row.
+    """
+    ij, jk, ik = variables.T
+    return 4 * labels[..., ij] + 2 * labels[..., jk] + labels[..., ik]
+
+
 def enumerate_ternary_cliques(codes: np.ndarray, n: int) -> Cliques:
     """Concept triples (i, j, k) whose pairs (i, j), (j, k) and (i, k) are all in ``codes``.
 

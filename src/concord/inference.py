@@ -59,8 +59,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import FactorGraph
-from .model import LOG_ZERO, AssignmentGraph, TernaryPotential
+from .graph import FactorGraph, configuration_codes
+from .model import CONFIGURATIONS, LOG_ZERO, AssignmentGraph, TernaryPotential
 
 ORACLE_VARIABLE_CAP = 25
 _ORACLE_CHUNK = 1 << 16
@@ -203,10 +203,9 @@ def _factor_plan(potential: TernaryPotential) -> tuple:
     plan = []
     for target, (a, b) in enumerate(_OTHER_SLOTS):
         by_state: tuple[list, list] = ([], [])
-        for cfg in range(8):
+        for cfg, bits in enumerate(CONFIGURATIONS):
             if forbidden[cfg]:
                 continue
-            bits = ((cfg >> 2) & 1, (cfg >> 1) & 1, cfg & 1)
             by_state[bits[target]].append((2 * bits[a] + bits[b], np.array(log_table[cfg])))
         plan.append(tuple(map(tuple, by_state)))
     return tuple(plan)
@@ -280,24 +279,12 @@ def _beliefs(store: MessageStore) -> np.ndarray:
     )
 
 
-def configuration_codes(labels: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """Table indices of each clique under the given labels."""
-    return (
-        4 * labels[triples[:, 0]] + 2 * labels[triples[:, 1]] + labels[triples[:, 2]]
-    ).astype(np.int64)
-
-
 def violated_cliques(graph: FactorGraph, labels: np.ndarray) -> list[int]:
     """Indices of ternary cliques whose configuration is forbidden."""
     if graph.num_ternary_factors == 0:
         return []
     codes = configuration_codes(np.asarray(labels, dtype=np.int64), graph.triples)
     return np.flatnonzero(graph.kind.forbidden[codes]).tolist()
-
-
-def _broken_triples(graph: FactorGraph, labels: np.ndarray) -> list[tuple[int, int, int]]:
-    """Concept triples (i, j, k) of the violated cliques, in clique order."""
-    return list(map(tuple, graph.triple_concepts[violated_cliques(graph, labels)].tolist()))
 
 
 def joint_log_score(graph: FactorGraph, labels: Sequence[int] | np.ndarray) -> float:
@@ -309,19 +296,21 @@ def joint_log_score(graph: FactorGraph, labels: Sequence[int] | np.ndarray) -> f
         )
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    return _score(graph, labels)
+    return _read_out(graph, labels)[0]
 
 
-def _score(graph: FactorGraph, labels: np.ndarray) -> float:
-    """``joint_log_score`` of int64 0/1 labels of the graph's shape, unchecked:
-    the decoders score labels they built themselves."""
-    total = float(np.take_along_axis(graph.unary_log, labels[:, None], axis=1).sum())
-    if graph.num_ternary_factors:
-        codes = configuration_codes(labels, graph.triples)
-        if graph.kind.forbidden[codes].any():
-            return LOG_ZERO
-        total += float(graph.log_table[codes].sum())
-    return total
+def _read_out(graph: FactorGraph, labels: np.ndarray) -> tuple[float, list[tuple[int, int, int]]]:
+    """Joint log score and broken concept triples (i, j, k), in clique order,
+    of unchecked int64 0/1 labels that a decoder built: one pass of
+    configuration codes serves both, and a broken clique scores LOG_ZERO."""
+    score = float(np.take_along_axis(graph.unary_log, labels[:, None], axis=1).sum())
+    if not graph.num_ternary_factors:
+        return score, []
+    codes = configuration_codes(labels, graph.triples)
+    broken = graph.kind.forbidden[codes]
+    if broken.any():
+        return LOG_ZERO, list(map(tuple, graph.triple_concepts[broken].tolist()))
+    return score + float(graph.log_table[codes].sum()), []
 
 
 def prior_flips(graph: FactorGraph, labels: np.ndarray) -> list[int]:
@@ -461,9 +450,13 @@ def lbp_map(
         [beliefs] = max_product_rounds([graph], config)
     margins = beliefs.values
     labels = (margins > 0).astype(np.int64)
-    score = _score(graph, labels)
-    violations = _broken_triples(graph, labels)
-    assignment = AssignmentGraph(
+    score, violations = _read_out(graph, labels)
+    pre_repair = None
+    if repair and violations:
+        labels, flips = greedy_repair(graph, labels, margins)
+        pre_repair = dict(log_score=score, violations=len(violations), flipped_variables=flips)
+        score, violations = _read_out(graph, labels)
+    return AssignmentGraph(
         kind=graph.kind,
         pairs=graph.pairs,
         labels=labels,
@@ -473,19 +466,9 @@ def lbp_map(
         converged=beliefs.converged,
         last_label_change=beliefs.last_label_change,
         margins=margins,
+        repaired=pre_repair is not None,
+        pre_repair=pre_repair,
     )
-    if repair and violations:
-        repaired_labels, flips = greedy_repair(graph, labels, margins)
-        assignment.pre_repair = {
-            "log_score": score,
-            "violations": len(violations),
-            "flipped_variables": flips,
-        }
-        assignment.labels = repaired_labels
-        assignment.log_score = _score(graph, repaired_labels)
-        assignment.violations = _broken_triples(graph, repaired_labels)
-        assignment.repaired = True
-    return assignment
 
 
 def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
@@ -515,7 +498,7 @@ def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
         bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int64)
         scores = bits @ gain + base
         if triples.shape[0]:
-            cfg = 4 * bits[:, triples[:, 0]] + 2 * bits[:, triples[:, 1]] + bits[:, triples[:, 2]]
+            cfg = configuration_codes(bits, triples)
             scores = np.where(
                 forbidden[cfg].any(axis=1), LOG_ZERO, scores + log_table[cfg].sum(axis=1)
             )
@@ -524,12 +507,5 @@ def exact_map_oracle(graph: FactorGraph) -> AssignmentGraph:
             best_score = float(scores[pick])
             best_code = start + pick
     labels = ((best_code >> (m - 1 - np.arange(m))) & 1).astype(np.int64)
-    return AssignmentGraph(
-        kind=graph.kind,
-        pairs=graph.pairs,
-        labels=labels,
-        log_score=_score(graph, labels),
-        violations=_broken_triples(graph, labels),
-        iterations=None,
-        converged=None,
-    )
+    score, violations = _read_out(graph, labels)
+    return AssignmentGraph(graph.kind, graph.pairs, labels, score, violations)

@@ -15,6 +15,7 @@ partition's result is bitwise that of decoding it alone.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 from dataclasses import dataclass, replace
@@ -202,8 +203,10 @@ def _solve_partition(
         assignment = lbp_map(partition.graph, repair=repair, beliefs=beliefs)
     except Exception as exc:  # surface the anchor with the first failure
         raise RuntimeError(f"inference failed in partition {partition.anchor}") from exc
-    owned = set(partition.test_pairs)
-    rows = np.flatnonzero([pair in owned for pair in assignment.pairs])
+    # The owned pairs are the local pairs whose left concept is the anchor:
+    # closing pairs join two counterparts, so they form one sorted run.
+    start = bisect.bisect_left(assignment.pairs, (partition.anchor,))
+    rows = slice(start, start + len(partition.test_pairs))
     return replace(
         assignment,
         pairs=partition.test_pairs,

@@ -455,6 +455,14 @@ class TestScoring:
         labels = np.array([1, 0, 1])
         assert configuration_codes(labels, triples).tolist() == [5]
 
+    def test_configuration_codes_of_a_label_batch(self):
+        graph = _graph({pair: 0.5 for pair in itertools.permutations(range(5), 2)}, kind=PC)
+        batch = np.random.default_rng(3).integers(0, 2, (6, graph.num_variables))
+        codes = configuration_codes(batch, graph.triples)
+        assert codes.shape == (6, graph.num_ternary_factors)
+        for labels, row in zip(batch, codes):
+            assert row.tolist() == configuration_codes(labels, graph.triples).tolist()
+
     def test_violated_cliques(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
         assert violated_cliques(graph, np.array([0, 0, 0])) == []

@@ -340,6 +340,26 @@ class TestMergedInference:
         for pair, label in merged.label_map().items():
             assert label == direct_labels[pair]
 
+    @pytest.mark.parametrize("repair", [False, True])
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_merged_rows_are_the_owning_local_decode(self, kind, repair):
+        data = generate_synthetic(kind, 30, prior_noise=0.15, seed=9, pair_mode="sparse")
+        parts = build_partitions(
+            data.concepts, data.pairs, data.priors,
+            TernaryPotential.default(kind), PartitionConfig(k=4),
+        )
+        if kind is PC:
+            # A closing pair (a, b) with a < anchor sorts before the anchor's own pairs.
+            assert any(part.graph.pairs[0][0] < part.anchor for part in parts)
+        merged = infer_partitions_parallel(parts, repair=repair)
+        row = {pair: i for i, pair in enumerate(merged.pairs)}
+        for part in parts:
+            local = lbp_map(part.graph, repair=repair)
+            for pair in part.test_pairs:
+                i = local.pairs.index(pair)
+                assert merged.labels[row[pair]] == local.labels[i]
+                assert merged.margins[row[pair]].tobytes() == local.margins[i].tobytes()
+
     def test_violations_are_a_global_audit(self):
         _, parts = self._dataset_partitions()
         merged = infer_partitions_parallel(parts, repair=True)

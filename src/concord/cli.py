@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: infer, tune, eval, synth, train-prior, stats.  Exit codes:
-0 success, 1 usage error, 2 malformed input file, 3 runtime failure.
+0 success, 1 usage error, 2 malformed input file or bad setting, 3 runtime failure.
 Progress and warnings go to stderr; machine-readable JSON goes to stdout or
 the --output path.  Flags override values from an optional --config JSON
 file, which overrides built-in defaults.  A config value must parse as its

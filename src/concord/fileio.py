@@ -79,7 +79,10 @@ def load_concepts(path: str) -> list[Concept]:
             raise InputFormatError(path, line, f"concept {cid} has an empty name")
         raw_values = row[2] if len(row) > 2 else ""
         values = tuple(v.strip() for v in raw_values.split("|") if v.strip())
-        rows.append((line, Concept(cid, name, values)))
+        try:
+            rows.append((line, Concept(cid, name, values)))
+        except ValueError as exc:
+            raise InputFormatError(path, line, str(exc)) from None
     concepts = [c for _, c in sorted(rows, key=lambda item: item[1].id)]
     try:
         validate_vocabulary(concepts)
@@ -151,6 +154,10 @@ def load_embeddings(path: str) -> dict[int, np.ndarray]:
             [parse_float(path, line, cell, "vector component") for cell in row[1:]],
             dtype=np.float64,
         )
+        nonfinite = np.flatnonzero(~np.isfinite(vec))
+        if nonfinite.size:
+            cell = row[1 + nonfinite[0]]
+            raise InputFormatError(path, line, f"vector components must be finite, got {cell!r}")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -198,8 +205,12 @@ def _json_default(obj):
 
 
 def dump_json(payload, path: str | None) -> None:
-    """Write a JSON document to a file, or stdout when path is None."""
-    text = json.dumps(payload, indent=2, default=_json_default)
+    """Write a JSON document to a file, or stdout when path is None.
+
+    A NaN or infinite number raises ValueError before anything is written:
+    strict JSON has no token for it.
+    """
+    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False)
     if path is None:
         sys.stdout.write(text + "\n")
     else:

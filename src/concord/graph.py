@@ -217,7 +217,7 @@ def prior_table(
 
     A self-pair, an id outside 0..n-1 (``checked_pair``'s rule) and two
     entries that name one canonical pair raise ConfigurationError; a
-    probability outside [0, 1] or NaN raises ``PriorBelief``'s ValueError.
+    probability outside [0, 1] or NaN raises ``PriorBelief``'s ConfigurationError.
     Pair faults are reported first, then repeats, then probabilities.
     """
     codes = checked_codes(priors, n, kind, "prior pair")

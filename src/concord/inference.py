@@ -21,6 +21,8 @@ log-potential w.  The live configurations are those the kind's
 ``forbidden`` table leaves free; the audit, the joint score and the oracle
 read the same table, and a decode's ``violations`` are the concept triples
 of its broken cliques, as ``audit_labels`` of its label map finds them.
+One read-out of a labelling's clique codes gives both its score and its
+broken cliques.
 
 Unary factors have degree one, so their outgoing message is pinned to the
 unary log-odds and is not damped; a graph without ternary factors therefore
@@ -32,13 +34,11 @@ feed the next round's variable update, so watching the labels costs no
 extra pass over the edges.  A graph stops at the first of three events:
 its delta (the largest change over its edges) falls below the tolerance,
 its labels have not changed for STABLE_ROUNDS rounds in a row, or it
-reaches the round cap.  Under a table that keeps messages moving, the
-delta can plateau well above any tolerance while the labels stay still;
-the label stop ends such a decode at its last label change plus
-STABLE_ROUNDS.  A tolerance of 0 turns both early stops off.  On the
-bench's ``tune`` workload (2-vCPU container) the label stop took an answer
-from about 795 message rounds to 310 and its median wall time from 0.078
-to 0.034 s; ``dense`` still stops on its delta at round 29.
+reaches the round cap.  A decode returns labels, not messages: under a
+table that keeps messages moving, the delta can plateau well above any
+tolerance while the labels stay still, so the label stop ends such a
+decode at its last label change plus STABLE_ROUNDS instead of running on
+to the cap.  A tolerance of 0 turns both early stops off.
 
 Several graphs under one potential decode as a batch: one message store
 holds their disjoint union, and each round runs the same kernels over all
@@ -101,8 +101,8 @@ class LbpConfig:
             raise ConfigurationError("max_iterations must be at least 1")
         if not 0.0 <= self.damping < 1.0:
             raise ConfigurationError("damping must lie in [0, 1)")
-        if self.tolerance < 0.0:
-            raise ConfigurationError("tolerance must be non-negative")
+        if not 0.0 <= self.tolerance < math.inf:  # also rejects NaN
+            raise ConfigurationError("tolerance must be finite and non-negative")
 
 
 def _cap(log_odds: np.ndarray) -> np.ndarray:

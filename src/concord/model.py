@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # Finite stand-in for log(0): the log-potential of a forbidden configuration
 # in ``log_table()`` and the score of a labelling that breaks a clique.  Which
 # configurations are forbidden is read from ``RelationshipKind.forbidden``,
@@ -92,7 +94,7 @@ def canonical_pair(left: int, right: int, kind: RelationshipKind) -> tuple[int, 
 
 def num_variables(n: int, kind: RelationshipKind) -> int:
     if n < 2:
-        raise ValueError(f"need at least 2 concepts, got {n}")
+        raise ConfigurationError(f"need at least 2 concepts, got {n}")
     if kind.symmetric:
         return n * (n - 1) // 2
     return n * (n - 1)
@@ -191,7 +193,7 @@ class PriorBelief:
     def __post_init__(self) -> None:
         p = float(self.p_one)
         if not (0.0 <= p <= 1.0) or math.isnan(p):
-            raise ValueError(f"prior probability must lie in [0, 1], got {p}")
+            raise ConfigurationError(f"prior probability must lie in [0, 1], got {p}")
         p = min(max(p, PRIOR_EPSILON), 1.0 - PRIOR_EPSILON)
         object.__setattr__(self, "p_one", p)
 
@@ -232,13 +234,13 @@ class TernaryPotential:
     def __post_init__(self) -> None:
         table = tuple(float(v) for v in self.table)
         if len(table) != 8:
-            raise ValueError(f"potential table must have 8 entries, got {len(table)}")
+            raise ConfigurationError(f"potential table must have 8 entries, got {len(table)}")
         for cfg, value, zero in zip(CONFIGURATIONS, table, self.kind.forbidden.tolist()):
             if not math.isfinite(value) or value < 0:
-                raise ValueError(f"potential entry for {cfg} must be finite and >= 0")
+                raise ConfigurationError(f"potential entry for {cfg} must be finite and >= 0")
             if zero != (value == 0.0):
                 need = "zero" if zero else "positive"
-                raise ValueError(f"configuration {cfg} must have {need} potential")
+                raise ConfigurationError(f"configuration {cfg} must have {need} potential")
         object.__setattr__(self, "table", table)
 
     @classmethod
@@ -248,7 +250,7 @@ class TernaryPotential:
         """Build a table from the free-configuration weights in table order."""
         free = kind.free_configurations
         if len(weights) != len(free):
-            raise ValueError(
+            raise ConfigurationError(
                 f"{kind.value} expects {len(free)} weights, got {len(weights)}"
             )
         table = [0.0] * 8

@@ -224,11 +224,11 @@ class TestInferDense:
             "--priors", str(DEMO / "priors.csv"), "--weights", "1,x",
         ]) == 1
 
-    def test_wrong_weight_count_is_runtime_failure(self):
+    def test_wrong_weight_count_is_configuration_error(self):
         assert main([
             "infer", "--concepts", str(DEMO / "concepts.csv"),
             "--priors", str(DEMO / "priors.csv"), "--weights", "1,0.5",
-        ]) == 3
+        ]) == 2
 
     def test_duplicate_priors_is_input_error(self, tmp_path):
         bad = tmp_path / "priors.csv"
@@ -249,6 +249,30 @@ def synth_dir(tmp_path_factory):
     ])
     assert code == 0
     return outdir
+
+
+DEMO_INFER = (
+    "infer", "--concepts", str(DEMO / "concepts.csv"), "--priors", str(DEMO / "priors.csv"),
+)
+
+
+@pytest.mark.parametrize("argv", [
+    (*DEMO_INFER, "--default-prior", "1.5"),
+    (*DEMO_INFER, "--default-prior", "nan"),
+    (*DEMO_INFER, "--weights", "1,2"),
+    (*DEMO_INFER, "--weights", "1,0,1,1,1"),
+    (*DEMO_INFER, "--weights", "1,-1,1,1,1"),
+    (*DEMO_INFER, "--weights", "1,nan,1,1,1"),
+    (*DEMO_INFER, "--tolerance", "nan"),
+    (*DEMO_INFER, "--tolerance", "inf"),
+    ("tune", "--concepts", "{synth}/concepts.csv", "--priors", "{synth}/priors.csv",
+     "--gold", "{synth}/validation.csv", "--budget", "1", "--tolerance", "nan"),
+    ("stats", "--n", "1"),
+    ("stats", "--n", "-5"),
+], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
+def test_bad_setting_is_configuration_error(synth_dir, capsys, argv):
+    assert main([arg.format(synth=synth_dir) for arg in argv]) == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestSynth:

@@ -52,6 +52,13 @@ class TestConcepts:
         assert str(path) in str(err.value)
         assert ":3:" in str(err.value)
 
+    def test_negative_id_names_its_line(self, tmp_path):
+        path = tmp_path / "concepts.csv"
+        path.write_text("id,name,values\n0,alpha,\n-1,beta,\n")
+        with pytest.raises(InputFormatError, match="non-negative") as err:
+            load_concepts(str(path))
+        assert err.value.line == 3
+
     def test_header_mismatch_is_line_one(self, tmp_path):
         path = tmp_path / "concepts.csv"
         path.write_text("concept,name\n0,alpha\n")
@@ -138,6 +145,14 @@ class TestEmbeddings:
         with pytest.raises(InputFormatError, match="components"):
             load_embeddings(str(path))
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_names_its_line(self, tmp_path, component):
+        path = tmp_path / "embeddings.csv"
+        path.write_text(f"id,v0,v1\n0,1.0,0.0\n1,0.5,{component}\n")
+        with pytest.raises(InputFormatError, match="finite") as err:
+            load_embeddings(str(path))
+        assert err.value.line == 3
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "embeddings.csv"
         path.write_text("id,v0\n0,1.0\n0,2.0\n")
@@ -157,6 +172,14 @@ class TestJson:
     def test_unserializable_type(self, tmp_path):
         with pytest.raises(TypeError):
             dump_json({"bad": object()}, str(tmp_path / "x.json"))
+
+    def test_non_finite_number_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        for target in (str(path), None):
+            with pytest.raises(ValueError):
+                dump_json({"score": float("nan")}, target)
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

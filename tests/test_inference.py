@@ -424,8 +424,9 @@ class TestDecoding:
             LbpConfig(max_iterations=0)
         with pytest.raises(ConfigurationError):
             LbpConfig(damping=1.0)
-        with pytest.raises(ConfigurationError):
-            LbpConfig(tolerance=-0.1)
+        for tolerance in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                LbpConfig(tolerance=tolerance)
 
 
 class TestScoring:

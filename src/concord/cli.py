@@ -39,6 +39,10 @@ from .tuning import SearchSpace, tune
 
 logger = logging.getLogger("concord")
 
+# The most ternary cliques a dense run builds: the equivalence count at
+# n = 500.  One more than that and the build alone takes minutes.
+DENSE_CLIQUE_CAP = 20_708_500
+
 
 class _UsageError(Exception):
     pass
@@ -248,10 +252,23 @@ def _load_prior_map(
     }, embeddings
 
 
+def _check_dense_size(n: int, kind: RelationshipKind) -> None:
+    """Refuse a dense graph whose closed-form clique count exceeds the cap."""
+    cliques = count_graph_stats(n, kind)[1]
+    if cliques > DENSE_CLIQUE_CAP:
+        raise ConfigurationError(
+            f"--mode dense over {n} concepts needs {cliques:,} ternary cliques, above "
+            f"the cap of {DENSE_CLIQUE_CAP:,}; use --mode partitioned, and see "
+            "concord stats for dense sizes"
+        )
+
+
 def _cmd_infer(cfg: SimpleNamespace) -> int:
     _require(cfg, "concepts")
     kind = _kind(cfg.relationship)
     concepts = fileio.load_concepts(cfg.concepts)
+    if cfg.mode == "dense":
+        _check_dense_size(len(concepts), kind)
     if cfg.weights:
         potential = TernaryPotential.from_weights(kind, _parse_floats(cfg.weights, "--weights"))
     else:

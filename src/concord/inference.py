@@ -303,7 +303,7 @@ def _read_out(graph: FactorGraph, labels: np.ndarray) -> tuple[float, list[tuple
     """Joint log score and broken concept triples (i, j, k), in clique order,
     of unchecked int64 0/1 labels that a decoder built: one pass of
     configuration codes serves both, and a broken clique scores LOG_ZERO."""
-    score = float(np.take_along_axis(graph.unary_log, labels[:, None], axis=1).sum())
+    score = float(np.where(labels, graph.unary_log[:, 1], graph.unary_log[:, 0]).sum())
     if not graph.num_ternary_factors:
         return score, []
     codes = configuration_codes(labels, graph.triples)

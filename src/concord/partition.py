@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .graph import (
     PriorTable,
     build_factor_graph,
     checked_codes,
+    cliques_by_graph,
     prior_table,
 )
 from .inference import Beliefs, LbpConfig, lbp_map, max_product_rounds
@@ -144,6 +145,50 @@ def _resolve_embeddings(
     return trigram_embeddings(concepts)
 
 
+def _closing_pairs(owner: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each partition's closing pairs as positions (a, b) into ``owner``.
+
+    ``owner`` gives, in ascending order, the partition of each counterpart
+    that can close a clique.  Every position meets every position of its own
+    partition; equivalence keeps a < b, parent-child every a != b.
+    """
+    sizes = np.bincount(owner)[owner]  # counterparts of each one's partition
+    group_start = owner.searchsorted(owner)
+    a = np.arange(len(owner)).repeat(sizes)
+    block_start = sizes.cumsum() - sizes
+    b = np.arange(len(a)) - (block_start - group_start).repeat(sizes)
+    keep = b > a if symmetric else b != a
+    return a[keep], b[keep]
+
+
+def _union_codes(
+    owner: np.ndarray, anchors: np.ndarray, counterparts: np.ndarray,
+    first: np.ndarray, second: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Member codes over the disjoint union of the partitions' concepts.
+
+    Test pair e is (anchors[e], counterparts[e]) of partition owner[e];
+    the pairs ascend, and so do their partitions 0..P-1.  The members are
+    every test pair, then the closing pairs
+    (counterparts[first], counterparts[second]).
+    Partition g numbers its anchor and counterparts in concept order, after
+    the partitions before it, so the union's n concepts number T + P for T
+    test pairs and P partitions, whatever the vocabulary size, and each
+    partition's union codes ascend as its codes do.  Returns the members'
+    union codes, the concept id of each union concept, and n.
+    """
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    size = len(anchors) + len(heads)
+    above = counterparts > anchors  # a counterpart is never its anchor
+    ids = np.arange(len(anchors)) + owner + above
+    anchor_ids = heads + np.arange(len(heads)) + np.add.reduceat(~above, heads, dtype=np.int64)
+    concept_ids = np.empty(size, dtype=np.int64)
+    concept_ids[ids] = counterparts
+    concept_ids[anchor_ids] = anchors[heads]
+    codes = np.concatenate([anchor_ids[owner] * size + ids, ids[first] * size + ids[second]])
+    return codes, concept_ids, size
+
+
 def build_partitions(
     concepts: Sequence[Concept],
     pairs: Sequence[tuple[int, int]],
@@ -157,48 +202,51 @@ def build_partitions(
     A self-pair or an unknown id in ``pairs`` raises ConfigurationError;
     two orientations of one symmetric pair name the same pair.  The priors
     are checked once into a ``PriorTable``, and each local graph takes its
-    slice of that table.
+    slice of that table.  One clique walk over the disjoint union of all
+    local graphs serves every partition.
     """
     n = validate_vocabulary(concepts)
     kind = potential.kind
     if not pairs:
         raise ConfigurationError("cannot partition an empty pair list")
     table = prior_table(priors, n, kind)
-    test_codes = np.array(sorted(set(checked_codes(pairs, n, kind).tolist())))
+    # Sorted and deduplicated by hand: np.unique's first call imports
+    # numpy.ma, which alone raises a run's peak RSS by about 1.5 MB.
+    test_codes = np.sort(checked_codes(pairs, n, kind))
+    test_codes = test_codes[np.diff(test_codes, prepend=-1) > 0]
     anchors, counterparts = np.divmod(test_codes, n)
     neighbors = top_k_neighbors(_resolve_embeddings(concepts, embeddings), config.k)
     # Closing a clique takes two anchored pairs, so only counterpart
     # concepts inside the top-k cut can induce extra variables.
-    inside = (neighbors[anchors] == counterparts[:, None]).any(axis=1)
-    bounds = np.flatnonzero(np.diff(anchors)) + 1
-    heads = anchors[np.r_[0, bounds]].tolist()
-    anchored = np.split(counterparts, bounds)
-    # Closing pairs join two counterparts in both orders for parent-child.
-    closing = itertools.combinations if kind.symmetric else itertools.permutations
-    members = [
-        sorted([anchor * n + right for right in rights.tolist()]
-               + [a * n + b for a, b in closing(rights[cut].tolist(), 2)])
-        for anchor, rights, cut in zip(heads, anchored, np.split(inside, bounds))
-    ]
+    inside = (neighbors[anchors] == counterparts[:, None]).any(axis=1).nonzero()[0]
+    heads = np.r_[0, np.flatnonzero(np.diff(anchors)) + 1]
+    owner = np.arange(len(heads)).repeat(np.diff(heads, append=len(anchors)))
+    a, b = _closing_pairs(owner[inside], kind.symmetric)
+    first, second = inside[a], inside[b]
+    union, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second)
+    # Sorting the union codes sorts the members by partition, then by code.
+    order = union.argsort()
+    codes = np.concatenate([test_codes, counterparts[first] * n + counterparts[second]])
     # One lookup slices the table for every partition.
-    local = table.select(
-        np.fromiter(itertools.chain.from_iterable(members), np.int64), config.default_prior
-    )
-    stops = np.cumsum([len(member) for member in members]).tolist()
+    local = table.select(codes[order], config.default_prior)
+    stops = np.bincount(np.concatenate([owner, owner[first]])).cumsum()
+    cliques = cliques_by_graph(union[order], size, stops, concept_ids)
 
+    test_pairs = list(zip(anchors.tolist(), counterparts.tolist()))
+    owned = itertools.pairwise([*heads.tolist(), len(anchors)])
+    rows = itertools.pairwise([0, *stops.tolist()])
     partitions: list[Partition] = []
-    for anchor, rights, start, stop in zip(heads, anchored, [0, *stops], stops):
+    for (head, end), (start, stop), walked in zip(owned, rows, cliques):
         part = PriorTable(n, kind, local.codes[start:stop], local.unary_log[start:stop])
-        graph = build_factor_graph(concepts, part, potential, mode="sparse")
-        test_pairs = tuple(zip(itertools.repeat(anchor), rights.tolist()))
-        partitions.append(Partition(anchor, test_pairs, graph))
+        graph = build_factor_graph(concepts, part, potential, mode="sparse", cliques=walked)
+        partitions.append(Partition(test_pairs[head][0], tuple(test_pairs[head:end]), graph))
     return partitions
 
 
 def _solve_partition(
     partition: Partition, beliefs: Beliefs, repair: bool
-) -> AssignmentGraph:
-    """Read out one partition's decode, keeping only the pairs it owns."""
+) -> tuple[AssignmentGraph, slice]:
+    """One partition's local decode, and the rows of the pairs it owns."""
     try:
         assignment = lbp_map(partition.graph, repair=repair, beliefs=beliefs)
     except Exception as exc:  # surface the anchor with the first failure
@@ -206,14 +254,7 @@ def _solve_partition(
     # The owned pairs are the local pairs whose left concept is the anchor:
     # closing pairs join two counterparts, so they form one sorted run.
     start = bisect.bisect_left(assignment.pairs, (partition.anchor,))
-    rows = slice(start, start + len(partition.test_pairs))
-    return replace(
-        assignment,
-        pairs=partition.test_pairs,
-        labels=assignment.labels[rows],
-        margins=assignment.margins[rows],
-        pre_repair=None,
-    )
+    return assignment, slice(start, start + len(partition.test_pairs))
 
 
 def infer_partitions_parallel(
@@ -238,11 +279,12 @@ def infer_partitions_parallel(
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
     beliefs = max_product_rounds([p.graph for p in partitions], lbp_config)
-    decodes = [_solve_partition(p, b, repair) for p, b in zip(partitions, beliefs)]
+    solved = [_solve_partition(p, b, repair) for p, b in zip(partitions, beliefs)]
+    decodes = [d for d, _ in solved]
 
     kind = partitions[0].graph.kind
     pairs = tuple(pair for part in partitions for pair in part.test_pairs)
-    labels = np.concatenate([d.labels for d in decodes])
+    labels = np.concatenate([d.labels[rows] for d, rows in solved])
     return AssignmentGraph(
         kind=kind,
         pairs=pairs,
@@ -252,7 +294,7 @@ def infer_partitions_parallel(
         iterations=max(d.iterations for d in decodes),
         converged=all(d.converged for d in decodes),
         last_label_change=max(d.last_label_change for d in decodes),
-        margins=np.concatenate([d.margins for d in decodes]),
+        margins=np.concatenate([d.margins[rows] for d, rows in solved]),
         repaired=any(d.repaired for d in decodes),
         partition_summaries=[
             {

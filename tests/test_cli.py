@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import concord
+import concord.cli as cli
 from concord.cli import _build_parser, _parse_floats, main
+from concord.errors import ConfigurationError
 from concord.graph import DEFAULT_PRIOR_P_ONE
 from concord.inference import LbpConfig
+from concord.model import RelationshipKind
 from concord.partition import PartitionConfig
 from concord.priors import TEMPERATURE_GRID, TrainConfig
 
@@ -211,6 +214,36 @@ class TestInferDense:
         assert "excludes --embeddings" in capsys.readouterr().err
         # Partitioning reads them, so there the missing file is an input error.
         assert main([*argv, "--mode", "partitioned"]) == 2
+
+    def test_dense_size_over_the_cap_is_refused_before_scoring(self, monkeypatch, capsys):
+        # demo/ has 6 concepts: 20 equivalence cliques, 120 parent-child ones.
+        def unread(*args):
+            pytest.fail("priors were read before the dense size check")
+
+        argv = ["infer", "--concepts", str(DEMO / "concepts.csv"),
+                "--priors", str(DEMO / "priors.csv")]
+        monkeypatch.setattr(cli, "DENSE_CLIQUE_CAP", 19)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_load_prior_map", unread)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--mode partitioned" in err and "concord stats" in err
+        assert main([*argv, "--mode", "partitioned"]) == 0
+        monkeypatch.setattr(cli, "DENSE_CLIQUE_CAP", 20)
+        assert main(argv) == 0
+        assert main([*argv, "--relationship", "parent-child"]) == 2
+
+    @pytest.mark.parametrize("n, relationship, refused", [
+        (500, "equivalence", False), (501, "equivalence", True), (2000, "equivalence", True),
+        (275, "parent-child", False), (276, "parent-child", True),
+    ])
+    def test_dense_size_cap_reads_the_closed_form(self, n, relationship, refused):
+        kind = RelationshipKind(relationship)
+        if refused:
+            with pytest.raises(ConfigurationError, match="--mode partitioned"):
+                cli._check_dense_size(n, kind)
+        else:
+            cli._check_dense_size(n, kind)
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main([

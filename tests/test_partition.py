@@ -13,11 +13,12 @@ import pytest
 
 from concord.errors import ConfigurationError
 from concord.evaluation import audit_labels, generate_synthetic
-from concord.graph import build_factor_graph, checked_pair
+from concord.graph import build_factor_graph, checked_pair, enumerate_ternary_cliques
 from concord.inference import LbpConfig, lbp_map
 from concord.model import Concept, PriorBelief, RelationshipKind, TernaryPotential
 from concord.partition import (
     PartitionConfig,
+    _union_codes,
     build_partitions,
     infer_partitions_parallel,
     top_k_neighbors,
@@ -161,19 +162,28 @@ class TestBuildPartitions:
         assert len(owned) == len(set(owned))
         assert set(owned) == set(data.pairs)
 
+    @pytest.mark.parametrize("case", ["synthetic", "some unary-only", "one anchor"])
     @pytest.mark.parametrize("kind", [EQ, PC])
-    def test_local_graphs_match_the_scalar_reference(self, kind):
-        # The per-anchor pair sets and priors, built pair by pair as sets.
-        data = generate_synthetic(kind, 40, prior_noise=0.2, seed=6, pair_mode="sparse")
+    def test_local_graphs_match_the_scalar_reference(self, kind, case):
+        # The per-anchor pair sets and priors, built pair by pair as sets,
+        # and each local graph's cliques walked on its own codes.
+        n = 40
+        data = generate_synthetic(kind, n, prior_noise=0.2, seed=6, pair_mode="sparse")
+        pairs = {
+            "synthetic": data.pairs,
+            "some unary-only": data.pairs[::3],
+            # Parent-child counterparts lie on both sides of the anchor.
+            "one anchor": [(a, j) for a in [0 if kind.symmetric else 20] for j in range(n) if j != a],
+        }[case]
         config = PartitionConfig(k=4, default_prior=0.03)
         neighbors = top_k_neighbors(trigram_embeddings(data.concepts), config.k)
         closing = itertools.combinations if kind.symmetric else itertools.permutations
         by_anchor = {}
-        for left, right in data.pairs:
-            pair = checked_pair(left, right, 40, kind)
+        for left, right in pairs:
+            pair = checked_pair(left, right, n, kind)
             by_anchor.setdefault(pair[0], set()).add(pair)
         parts = build_partitions(
-            data.concepts, data.pairs, data.priors, TernaryPotential.default(kind), config
+            data.concepts, pairs, data.priors, TernaryPotential.default(kind), config
         )
         assert [p.anchor for p in parts] == sorted(by_anchor)
         for part in parts:
@@ -187,7 +197,41 @@ class TestBuildPartitions:
                 list(PriorBelief(data.priors.get(pair, 0.03)).log_potentials())
                 for pair in members
             ]
+            alone = enumerate_ternary_cliques(np.array([i * n + j for i, j in members]), n)
+            for array, reference in (
+                (part.graph.triples, alone.variables),
+                (part.graph.triple_concepts, alone.concepts),
+            ):
+                assert array.dtype == reference.dtype and array.shape == reference.shape
+                assert array.tolist() == reference.tolist()
         assert any(len(p.graph.pairs) > len(p.test_pairs) for p in parts)
+        assert any(p.graph.num_ternary_factors for p in parts)
+        if case == "some unary-only":
+            assert any(not p.graph.num_ternary_factors for p in parts)
+        if case == "one anchor":
+            assert len(parts) == 1
+
+    def test_union_codes_stay_inside_int64(self):
+        # Two partitions near the top of a vocabulary so large that
+        # numbering partition p's concept c as p * n + c would overflow
+        # int64 in the union codes; compact ids keep them below (T + P)².
+        n = 3_000_000_000
+        assert (2 * n) ** 2 > np.iinfo(np.int64).max
+        anchors = np.array([n - 9, n - 9, n - 4, n - 4, n - 4])
+        counterparts = np.array([n - 7, n - 1, n - 8, n - 6, n - 2])
+        owner = np.array([0, 0, 1, 1, 1])
+        first, second = np.array([2, 4, 3]), np.array([4, 2, 2])
+        codes, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second)
+        assert size == 7 and codes.dtype == np.int64
+        assert codes.min() >= 0 and codes.max() < size ** 2
+        left, right = np.divmod(codes, size)
+        pairs = list(zip(concept_ids[left].tolist(), concept_ids[right].tolist()))
+        assert pairs == [
+            *zip(anchors.tolist(), counterparts.tolist()),
+            (n - 8, n - 2), (n - 2, n - 8), (n - 6, n - 8),
+        ]
+        # Each partition's union codes sort as its pairs do, partition by partition.
+        assert [pairs[i] for i in codes.argsort()] == sorted(pairs[:2]) + sorted(pairs[2:])
 
     def test_local_size_bound(self):
         k = 4

@@ -40,7 +40,10 @@ from .tuning import SearchSpace, tune
 logger = logging.getLogger("concord")
 
 # The most ternary cliques a dense run builds: the equivalence count at
-# n = 500.  One more than that and the build alone takes minutes.
+# n = 500.  Measured runs of infer --mode dense (equivalence n = 100-300,
+# parent-child n = 100-150; 2 vCPUs) cost about 220 bytes of peak RSS and
+# 4 microseconds per clique, linearly, so a run at the cap needs about
+# 4.6 GB and 80 s, and equivalence n = 600 would need about 7.9 GB.
 DENSE_CLIQUE_CAP = 20_708_500
 
 

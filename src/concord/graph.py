@@ -140,28 +140,6 @@ def enumerate_ternary_cliques(codes: np.ndarray, n: int) -> Cliques:
     return Cliques(np.array([left[ij], right[ij], right[jk]]).T, variables.T)
 
 
-def cliques_by_graph(
-    codes: np.ndarray, n: int, stops: np.ndarray, concept_ids: np.ndarray
-) -> list[Cliques]:
-    """The cliques of several graphs, from one walk over their disjoint union.
-
-    ``codes`` are the union's ascending codes ``left * n + right`` over n
-    union concepts.  Graph g holds the rows from ``stops[g - 1]`` (0 for
-    the first) up to ``stops[g]``, and no two graphs share a union concept,
-    so every clique lies in one graph.  Each graph's variables count from
-    its first row, and ``concept_ids`` maps a union concept to the concept
-    id the cliques report.  When that map keeps each graph's concepts in
-    order, graph g's cliques are bitwise ``enumerate_ternary_cliques`` of
-    its own codes in concept ids.
-    """
-    cliques = enumerate_ternary_cliques(codes, n)
-    starts = np.r_[0, stops[:-1]]
-    cuts = np.append(cliques.variables[:, 0].searchsorted(starts), len(cliques))
-    variables = cliques.variables - starts.repeat(np.diff(cuts))[:, None]
-    concepts = concept_ids[cliques.concepts]
-    return [Cliques(concepts[a:b], variables[a:b]) for a, b in itertools.pairwise(cuts.tolist())]
-
-
 def _all_codes(n: int, kind: RelationshipKind) -> np.ndarray:
     """Codes ``left * n + right`` of every canonical pair over n concepts, ascending."""
     left, right = np.triu_indices(n, 1) if kind.symmetric else np.nonzero(~np.eye(n, dtype=bool))
@@ -269,6 +247,7 @@ def build_factor_graph(
     potential: TernaryPotential,
     mode: str = "dense",
     default_prior: float = DEFAULT_PRIOR_P_ONE,
+    *,
     cliques: Cliques | None = None,
 ) -> FactorGraph:
     """Assemble a factor graph over the vocabulary.
@@ -277,8 +256,12 @@ def build_factor_graph(
     prior map, which ``prior_table`` checks first.  dense mode creates a
     variable for every concept pair, falling back to ``default_prior`` for
     pairs without a prior.  sparse mode creates variables only for the
-    listed pairs.  ``cliques``, when given, are the cliques of the graph's
-    pair codes, already walked, and the build takes them as they are.
+    listed pairs.
+
+    ``cliques``, when given, must be ``enumerate_ternary_cliques`` of the
+    graph's pair codes, walked already by a trusted caller such as
+    ``partition.build_partitions``.  The build checks only their shape:
+    cliques of other codes would index the wrong variables.
     """
     kind = potential.kind
     if isinstance(priors, PriorTable):
@@ -305,6 +288,8 @@ def build_factor_graph(
     # A pair's variable id is the rank of its code.
     if cliques is None:
         cliques = enumerate_ternary_cliques(table.codes, n)
+    elif cliques.variables.shape != cliques.concepts.shape or cliques.concepts.shape[1:] != (3,):
+        raise ConfigurationError("given cliques must be (t, 3) concept and variable rows")
     left, right = np.divmod(table.codes, n)
     return FactorGraph(
         n_concepts=n,

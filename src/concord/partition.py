@@ -27,11 +27,12 @@ from .errors import ConfigurationError
 from .evaluation import audit_labels
 from .graph import (
     DEFAULT_PRIOR_P_ONE,
+    Cliques,
     FactorGraph,
     PriorTable,
     build_factor_graph,
     checked_codes,
-    cliques_by_graph,
+    enumerate_ternary_cliques,
     prior_table,
 )
 from .inference import Beliefs, LbpConfig, lbp_map, max_product_rounds
@@ -189,6 +190,28 @@ def _union_codes(
     return codes, concept_ids, size
 
 
+def _cliques_by_partition(
+    codes: np.ndarray, size: int, stops: np.ndarray, concept_ids: np.ndarray
+) -> list[Cliques]:
+    """Each partition's cliques, from one walk over the disjoint union.
+
+    ``codes`` are the union codes of ``_union_codes`` in ascending order,
+    and partition g holds the rows from ``stops[g - 1]`` (0 for the first)
+    up to ``stops[g]``.  No two partitions share a union concept, so every
+    clique lies in one partition, and one ``searchsorted`` cuts the walk.
+    Each partition's variables count from its first row and its concepts
+    are mapped back to concept ids; since ``_union_codes`` keeps each
+    partition's concepts in order, partition g's cliques are bitwise
+    ``enumerate_ternary_cliques`` of its own codes.
+    """
+    cliques = enumerate_ternary_cliques(codes, size)
+    starts = np.r_[0, stops[:-1]]
+    cuts = np.append(cliques.variables[:, 0].searchsorted(starts), len(cliques))
+    variables = cliques.variables - starts.repeat(np.diff(cuts))[:, None]
+    concepts = concept_ids[cliques.concepts]
+    return [Cliques(concepts[a:b], variables[a:b]) for a, b in itertools.pairwise(cuts.tolist())]
+
+
 def build_partitions(
     concepts: Sequence[Concept],
     pairs: Sequence[tuple[int, int]],
@@ -230,7 +253,7 @@ def build_partitions(
     # One lookup slices the table for every partition.
     local = table.select(codes[order], config.default_prior)
     stops = np.bincount(np.concatenate([owner, owner[first]])).cumsum()
-    cliques = cliques_by_graph(union[order], size, stops, concept_ids)
+    cliques = _cliques_by_partition(union[order], size, stops, concept_ids)
 
     test_pairs = list(zip(anchors.tolist(), counterparts.tolist()))
     owned = itertools.pairwise([*heads.tolist(), len(anchors)])

@@ -11,10 +11,10 @@ import concord.graph as graph_module
 from concord.errors import ConfigurationError
 from concord.graph import (
     DEFAULT_PRIOR_P_ONE,
+    Cliques,
     PriorTable,
     build_factor_graph,
     checked_pair,
-    cliques_by_graph,
     count_graph_stats,
     enumerate_ternary_cliques,
     prior_table,
@@ -296,42 +296,6 @@ class TestCliqueEnumeration:
         if not kind.symmetric:
             assert both_ways  # some sets hold a parent-child pair in both directions
 
-    @pytest.mark.parametrize("step", [3, 1 << 14])
-    @pytest.mark.parametrize("kind", [EQ, PC])
-    def test_one_walk_over_disjoint_graphs_matches_each_alone(self, kind, step, monkeypatch):
-        # Graph g's concepts get consecutive union ids in concept order; its
-        # concept ids are a sorted sample of a larger vocabulary.  The first
-        # and last graphs close no clique.
-        monkeypatch.setattr(graph_module, "_WALK_STEP", step)
-        rng = np.random.default_rng(24)
-        n = 50
-        graphs = [[(0, 1)]] + [
-            _random_pairs(int(rng.integers(2, 9)), kind, rng, share=0.7) or [(0, 1)]
-            for _ in range(12)
-        ] + [[(1, 0), (1, 2)] if not kind.symmetric else [(0, 1), (0, 2)]]
-        union, concept_ids, stops, expected = [], [], [], []
-        for pairs in graphs:
-            size = 1 + max(max(pair) for pair in pairs)
-            ids = np.sort(rng.choice(n, size, replace=False))
-            offset = len(concept_ids)
-            union += sorted((offset + i, offset + j) for i, j in pairs)
-            stops.append(len(union))
-            concept_ids += ids.tolist()
-            expected.append(enumerate_ternary_cliques(
-                _codes([(ids[i], ids[j]) for i, j in pairs], n), n
-            ))
-        size = len(concept_ids)
-        found = cliques_by_graph(
-            _codes(union, size), size, np.array(stops), np.array(concept_ids)
-        )
-        assert len(found) == len(graphs)
-        assert len(found[0]) == len(found[-1]) == 0 < sum(map(len, found))
-        for alone, walked in zip(expected, found):
-            for name in ("concepts", "variables"):
-                array, reference = getattr(walked, name), getattr(alone, name)
-                assert array.dtype == reference.dtype and array.shape == reference.shape
-                assert array.tolist() == reference.tolist()
-
     def test_every_variable_id_valid(self):
         n = 7
         rng = np.random.default_rng(0)
@@ -424,6 +388,15 @@ class TestPriorTable:
             array, reference = getattr(given, name), getattr(walked, name)
             assert array.dtype == reference.dtype
             assert array.tobytes() == reference.tobytes()
+
+    def test_given_cliques_must_be_three_column_rows(self):
+        priors = {(0, 1): 0.6, (1, 2): 0.6, (0, 2): 0.6}
+        cliques = enumerate_ternary_cliques(_codes(priors, 3), 3)
+        flat = Cliques(cliques.concepts.ravel(), cliques.variables.ravel())
+        with pytest.raises(ConfigurationError, match=r"\(t, 3\)"):
+            build_factor_graph(
+                _concepts(3), priors, TernaryPotential.default(EQ), "sparse", cliques=flat
+            )
 
     def test_table_of_another_vocabulary_rejected(self):
         table = prior_table({(0, 1): 0.9}, 3, EQ)

@@ -16,8 +16,10 @@ from concord.evaluation import audit_labels, generate_synthetic
 from concord.graph import build_factor_graph, checked_pair, enumerate_ternary_cliques
 from concord.inference import LbpConfig, lbp_map
 from concord.model import Concept, PriorBelief, RelationshipKind, TernaryPotential
+import concord.graph as graph_module
 from concord.partition import (
     PartitionConfig,
+    _cliques_by_partition,
     _union_codes,
     build_partitions,
     infer_partitions_parallel,
@@ -232,6 +234,44 @@ class TestBuildPartitions:
         ]
         # Each partition's union codes sort as its pairs do, partition by partition.
         assert [pairs[i] for i in codes.argsort()] == sorted(pairs[:2]) + sorted(pairs[2:])
+
+    @pytest.mark.parametrize("step", [3, 1 << 14])
+    @pytest.mark.parametrize("kind", [EQ, PC])
+    def test_one_walk_over_disjoint_partitions_matches_each_alone(self, kind, step, monkeypatch):
+        # Partition g's concepts get consecutive union ids in concept order;
+        # its concept ids are a sorted sample of a larger vocabulary.  The
+        # first and last partitions close no clique.
+        monkeypatch.setattr(graph_module, "_WALK_STEP", step)
+        rng = np.random.default_rng(24)
+        n = 50
+        closing = itertools.combinations if kind.symmetric else itertools.permutations
+        graphs = [[(0, 1)]] + [
+            [pair for pair in closing(range(int(rng.integers(2, 9))), 2) if rng.random() < 0.7]
+            or [(0, 1)]
+            for _ in range(12)
+        ] + [[(1, 0), (1, 2)] if not kind.symmetric else [(0, 1), (0, 2)]]
+        union, concept_ids, stops, expected = [], [], [], []
+        for pairs in graphs:
+            size = 1 + max(max(pair) for pair in pairs)
+            ids = np.sort(rng.choice(n, size, replace=False))
+            offset = len(concept_ids)
+            union += sorted((offset + i, offset + j) for i, j in pairs)
+            stops.append(len(union))
+            concept_ids += ids.tolist()
+            codes = sorted(ids[i] * n + ids[j] for i, j in pairs)
+            expected.append(enumerate_ternary_cliques(np.array(codes, dtype=np.int64), n))
+        size = len(concept_ids)
+        found = _cliques_by_partition(
+            np.array([i * size + j for i, j in union], dtype=np.int64),
+            size, np.array(stops), np.array(concept_ids),
+        )
+        assert len(found) == len(graphs)
+        assert len(found[0]) == len(found[-1]) == 0 < sum(map(len, found))
+        for alone, walked in zip(expected, found):
+            for name in ("concepts", "variables"):
+                array, reference = getattr(walked, name), getattr(alone, name)
+                assert array.dtype == reference.dtype and array.shape == reference.shape
+                assert array.tolist() == reference.tolist()
 
     def test_local_size_bound(self):
         k = 4

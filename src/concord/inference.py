@@ -211,19 +211,16 @@ def _factor_plan(potential: TernaryPotential) -> tuple:
     return tuple(plan)
 
 
-def _variable_round(store: MessageStore, beliefs: np.ndarray | None = None) -> np.ndarray:
-    beliefs = _beliefs(store) if beliefs is None else beliefs
+def _variable_round(store: MessageStore, beliefs: np.ndarray) -> np.ndarray:
+    """Variable-to-factor log-odds, (E,) in edge order, from ``_beliefs(store)``."""
     fresh = beliefs.take(store.edge_var)
     fresh -= store.factor_to_var
     return _cap(fresh)
 
 
-def _factor_round(
-    store: MessageStore, fresh_v2f: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Ternary factor-to-variable log-odds, (3t,) in edge order, into ``out`` if given."""
+def _factor_round(store: MessageStore, fresh_v2f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Ternary factor-to-variable log-odds, (3t,) in edge order, written into ``out``."""
     d = fresh_v2f[store.num_variables:].reshape(-1, 3)
-    out = np.empty(d.size, dtype=np.float64) if out is None else out
     both, term, off, on = np.empty((4, len(d)))
     for target, (a, b) in enumerate(_OTHER_SLOTS):
         # A live configuration scores w plus the incoming log-odds of the
@@ -242,16 +239,14 @@ def _factor_round(
     return _cap(out)
 
 
-def jacobi_round(
-    store: MessageStore, damping: float, beliefs: np.ndarray | None = None
-) -> np.ndarray:
+def jacobi_round(store: MessageStore, damping: float, beliefs: np.ndarray) -> np.ndarray:
     """Run one synchronous round in place; return each edge's change.
 
     An edge's change is the larger absolute move of its two messages'
     log-odds, so a graph's convergence delta is the max over its edges.
     The change overwrites the previous round's message arrays.
-    ``beliefs`` are ``_beliefs(store)`` before the round, when the caller
-    already holds them; otherwise the round computes them.
+    ``beliefs`` are ``_beliefs(store)`` before the round, which the
+    caller already holds from the round before.
     """
     m = store.num_variables
     keep, damping = np.array(1.0 - damping), np.array(damping)
@@ -332,26 +327,29 @@ def greedy_repair(
     only; every forbidden configuration contains a positive label and
     demotions strictly shrink the positive set, so termination at a valid
     assignment is guaranteed (the all-zero assignment is always valid).
+    Both phases pick from one order, by |margin| and then by id.
     """
     labels = np.array(labels, dtype=np.int64, copy=True)
     m = graph.num_variables
-    flipped_order: list[int] = []
-    flipped: set[int] = set()
+    order = np.argsort(np.abs(margins), kind="stable")  # ties keep ascending id
+    flipped = np.zeros(m, dtype=bool)
+    flips: list[int] = []
     for _ in range(4 * m + 8):
-        violations = violated_cliques(graph, labels)
-        if not violations:
-            return labels, flipped_order
-        candidates = np.unique(graph.triples[violations].ravel())
-        fresh = [int(v) for v in candidates if v not in flipped]
-        if fresh:
-            target = min(fresh, key=lambda v: (abs(float(margins[v])), v))
+        broken = graph.kind.forbidden[configuration_codes(labels, graph.triples)]
+        if not broken.any():
+            return labels, flips
+        in_broken = np.zeros(m, dtype=bool)
+        in_broken[graph.triples[broken]] = True
+        candidates = order[in_broken[order]]
+        fresh = candidates[~flipped[candidates]]
+        if fresh.size:
+            target = fresh[0]
             labels[target] ^= 1
         else:
-            positives = [int(v) for v in candidates if labels[v] == 1]
-            target = min(positives, key=lambda v: (abs(float(margins[v])), v))
+            target = candidates[labels[candidates] == 1][0]
             labels[target] = 0
-        flipped.add(target)
-        flipped_order.append(target)
+        flipped[target] = True
+        flips.append(int(target))
     raise RuntimeError("repair failed to terminate")  # unreachable by construction
 
 

@@ -164,7 +164,7 @@ def _closing_pairs(owner: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.n
 
 def _union_codes(
     owner: np.ndarray, anchors: np.ndarray, counterparts: np.ndarray,
-    first: np.ndarray, second: np.ndarray,
+    first: np.ndarray, second: np.ndarray, n: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Member codes over the disjoint union of the partitions' concepts.
 
@@ -172,22 +172,22 @@ def _union_codes(
     the pairs ascend, and so do their partitions 0..P-1.  The members are
     every test pair, then the closing pairs
     (counterparts[first], counterparts[second]).
-    Partition g numbers its anchor and counterparts in concept order, after
-    the partitions before it, so the union's n concepts number T + P for T
-    test pairs and P partitions, whatever the vocabulary size, and each
-    partition's union codes ascend as its codes do.  Returns the members'
-    union codes, the concept id of each union concept, and n.
+    Concept c of partition g is numbered by the rank of its key g * n + c
+    among the keys of every partition's anchor and counterparts, so the
+    union's concepts number T + P for T test pairs and P partitions,
+    whatever the vocabulary size n, and each partition's union codes ascend
+    as its codes do.  Returns the members' union codes, the concept id of
+    each union concept, and their count.
     """
     heads = np.flatnonzero(np.diff(owner, prepend=-1))
-    size = len(anchors) + len(heads)
-    above = counterparts > anchors  # a counterpart is never its anchor
-    ids = np.arange(len(anchors)) + owner + above
-    anchor_ids = heads + np.arange(len(heads)) + np.add.reduceat(~above, heads, dtype=np.int64)
-    concept_ids = np.empty(size, dtype=np.int64)
-    concept_ids[ids] = counterparts
-    concept_ids[anchor_ids] = anchors[heads]
-    codes = np.concatenate([anchor_ids[owner] * size + ids, ids[first] * size + ids[second]])
-    return codes, concept_ids, size
+    anchor_keys = owner * n + anchors
+    counterpart_keys = owner * n + counterparts
+    # A counterpart is never its anchor, so the keys are distinct.
+    keys = np.sort(np.concatenate([anchor_keys[heads], counterpart_keys]))
+    ids, anchor_ids = keys.searchsorted(counterpart_keys), keys.searchsorted(anchor_keys)
+    size = len(keys)
+    codes = np.concatenate([anchor_ids * size + ids, ids[first] * size + ids[second]])
+    return codes, keys % n, size
 
 
 def _cliques_by_partition(
@@ -246,7 +246,7 @@ def build_partitions(
     owner = np.arange(len(heads)).repeat(np.diff(heads, append=len(anchors)))
     a, b = _closing_pairs(owner[inside], kind.symmetric)
     first, second = inside[a], inside[b]
-    union, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second)
+    union, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second, n)
     # Sorting the union codes sorts the members by partition, then by code.
     order = union.argsort()
     codes = np.concatenate([test_codes, counterparts[first] * n + counterparts[second]])

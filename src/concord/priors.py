@@ -253,7 +253,8 @@ def train_linear_prior(
         [f.as_array() if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64) for f, _ in examples]
     )
     y = np.array([label for _, label in examples], dtype=np.float64)
-    if set(np.unique(y)) != {0.0, 1.0}:
+    positive = y == 1.0
+    if not (positive | (y == 0.0)).all() or positive.all() or not positive.any():
         raise ConfigurationError("training set must contain both classes")
 
     if config.class_weighted:

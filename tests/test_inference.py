@@ -3,12 +3,18 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import concord
 from concord.errors import ConfigurationError
 from concord.evaluation import audit_labels
 from concord.graph import build_factor_graph
@@ -17,6 +23,7 @@ from concord.inference import (
     Beliefs,
     LbpConfig,
     MessageStore,
+    _beliefs,
     _factor_plan,
     _factor_round,
     _variable_round,
@@ -212,7 +219,7 @@ class TestMessagePrimitives:
         store.factor_to_var[edge_id(graph, 0, m + 0)] = 1.0
         out = variable_to_factor_message(graph, store, 0, m + 1)
         assert out.tolist() == [0.0, -1.0]
-        assert _variable_round(store)[edge_id(graph, 0, m + 1)] == -1.0
+        assert _variable_round(store, _beliefs(store))[edge_id(graph, 0, m + 1)] == -1.0
 
     def test_round_batch_matches_reference_messages(self):
         # After 1-5 damped rounds, both batch updates agree with the scalar
@@ -237,18 +244,19 @@ class TestMessagePrimitives:
             for rounds in range(1, 6):
                 store = MessageStore.initial(graph)
                 for _ in range(rounds):
-                    jacobi_round(store, damping=0.5)
+                    jacobi_round(store, 0.5, _beliefs(store))
                 np.testing.assert_array_equal(store.factor_to_var[:m], store.unary_message)
                 expected = log_odds(np.stack([
                     variable_to_factor_message(graph, store, var, factor) for var, factor in edges
                 ]))
-                np.testing.assert_allclose(_variable_round(store), expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    _variable_round(store, _beliefs(store)), expected, rtol=0, atol=1e-12
+                )
                 expected = log_odds(np.stack([
                     factor_to_variable_message(graph, store, factor, var) for var, factor in edges[m:]
                 ]))
-                np.testing.assert_allclose(
-                    _factor_round(store, store.var_to_factor), expected, rtol=0, atol=1e-12
-                )
+                factor = _factor_round(store, store.var_to_factor, np.empty(len(edges) - m))
+                np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind, weights", [
         (EQ, None),
@@ -276,13 +284,14 @@ class TestMessagePrimitives:
         graph = build_factor_graph(_concepts(n), priors, potential, mode=mode)
         assert graph.num_ternary_factors > 0
         store = MessageStore.initial(graph)
+        buffer = np.empty(3 * graph.num_ternary_factors)
         # Each slot and target state lists its live configurations once.
         for slot in store.plan:
             assert sum(map(len, slot)) == np.count_nonzero(potential.table)
         for _ in range(5):
-            jacobi_round(store, damping=0.5)
+            jacobi_round(store, 0.5, _beliefs(store))
             np.testing.assert_array_equal(
-                _factor_round(store, store.var_to_factor),
+                _factor_round(store, store.var_to_factor, buffer),
                 reference_factor_round(graph, store, store.var_to_factor),
             )
         # Incoming messages at and near the spread cap, with both signs.
@@ -294,7 +303,8 @@ class TestMessagePrimitives:
             planted = rng.random(fresh.shape) < 0.5
             fresh[planted] = rng.choice(near, planted.sum())
             np.testing.assert_array_equal(
-                _factor_round(store, fresh), reference_factor_round(graph, store, fresh)
+                _factor_round(store, fresh, buffer),
+                reference_factor_round(graph, store, fresh),
             )
 
     def test_message_storage_covers_every_edge(self):
@@ -323,7 +333,7 @@ class TestMessagePrimitives:
         config = LbpConfig(max_iterations=200, tolerance=0.0)
         store = MessageStore.initial(graph)
         for _ in range(config.max_iterations):
-            jacobi_round(store, config.damping)
+            jacobi_round(store, config.damping, _beliefs(store))
         check_message_sanity(store)
         decoded = lbp_map(graph, config)
         assert decoded.iterations == config.max_iterations
@@ -351,7 +361,7 @@ class TestDecoding:
         config = LbpConfig()
         store = MessageStore.initial(graph)
         for rounds in range(1, config.max_iterations + 1):
-            delta = jacobi_round(store, config.damping).max()
+            delta = jacobi_round(store, config.damping, _beliefs(store)).max()
             check_message_sanity(store)
             if delta < config.tolerance:
                 break
@@ -416,7 +426,7 @@ class TestDecoding:
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
         store = MessageStore.initial(graph)
         for _ in range(80):
-            jacobi_round(store, damping=0.5)
+            jacobi_round(store, 0.5, _beliefs(store))
         check_message_sanity(store)
 
     def test_config_validation(self):
@@ -532,6 +542,33 @@ def _prior_log_odds(graph):
     return graph.unary_log[:, 1] - graph.unary_log[:, 0]
 
 
+def reference_greedy_repair(graph, labels, margins):
+    """The per-flip form of ``greedy_repair``: it collects the variables of
+    the violated cliques each step and takes the (|margin|, id) minimum of
+    the unflipped ones, else of the positive ones; ``greedy_repair`` must
+    return the same labels and flip list."""
+    labels = np.array(labels, dtype=np.int64, copy=True)
+    m = graph.num_variables
+    flipped_order = []
+    flipped = set()
+    for _ in range(4 * m + 8):
+        violations = violated_cliques(graph, labels)
+        if not violations:
+            return labels, flipped_order
+        candidates = sorted(set(graph.triples[violations].ravel().tolist()))
+        fresh = [v for v in candidates if v not in flipped]
+        if fresh:
+            target = min(fresh, key=lambda v: (abs(float(margins[v])), v))
+            labels[target] ^= 1
+        else:
+            positives = [v for v in candidates if labels[v] == 1]
+            target = min(positives, key=lambda v: (abs(float(margins[v])), v))
+            labels[target] = 0
+        flipped.add(target)
+        flipped_order.append(target)
+    raise RuntimeError("repair failed to terminate")
+
+
 class TestRepair:
     def test_repairs_single_violation(self):
         graph = _graph(CONFLICT_PRIORS, weights=CONFLICT_WEIGHTS)
@@ -568,6 +605,37 @@ class TestRepair:
             repaired, _ = greedy_repair(graph, labels, _prior_log_odds(graph))
             assert violated_cliques(graph, repaired) == []
 
+    def test_matches_reference_on_random_graphs(self):
+        # Dense and sparse graphs of both kinds under random labels; half
+        # the graphs draw margins from five values, so |margin| ties are
+        # common and the id tie-break decides.
+        rng = np.random.default_rng(53)
+        fired = demoted = 0
+        for index in range(300):
+            kind = (EQ, PC)[index % 2]
+            n = int(rng.integers(4, 9 if kind.symmetric else 7))
+            mode = ("dense", "sparse")[index // 2 % 2]
+            every = list(
+                itertools.combinations(range(n), 2) if kind.symmetric
+                else itertools.permutations(range(n), 2)
+            )
+            pairs = every if mode == "dense" else [p for p in every if rng.random() < 0.6]
+            priors = {pair: float(rng.uniform(0.05, 0.95)) for pair in pairs or every}
+            graph = _graph(priors, n=n, kind=kind, mode=mode)
+            m = graph.num_variables
+            labels = rng.integers(0, 2, size=m)
+            margins = (
+                rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m) if index % 4 < 2
+                else rng.normal(size=m)
+            )
+            repaired, flips = greedy_repair(graph, labels, margins)
+            expected, expected_flips = reference_greedy_repair(graph, labels, margins)
+            assert repaired.tolist() == expected.tolist() and flips == expected_flips, index
+            assert violated_cliques(graph, repaired) == []
+            fired += bool(flips)
+            demoted += len(set(flips)) < len(flips)
+        assert fired == 243 and demoted > 0
+
     def test_lbp_map_repair_plumbing(self):
         # Force a violated decode by making LBP stop after one round.
         rng = np.random.default_rng(19)
@@ -590,6 +658,34 @@ class TestRepair:
                 found = True
                 break
         assert found, "no violated decode found to exercise repair"
+
+    def test_repair_partitions_and_training_leave_numpy_ma_unimported(self):
+        # np.unique's first call imports numpy.ma, about 1.5 MB of peak RSS;
+        # a fresh interpreter shows whether any of these paths reaches it.
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from concord import (
+                Concept, PartitionConfig, RelationshipKind, TernaryPotential,
+                build_factor_graph, build_partitions, greedy_repair, train_linear_prior,
+            )
+            concepts = [Concept(i, f"concept {i}") for i in range(3)]
+            priors = {(0, 1): 0.6, (0, 2): 0.6, (1, 2): 0.1}
+            potential = TernaryPotential.default(RelationshipKind.EQUIVALENCE)
+            graph = build_factor_graph(concepts, priors, potential)
+            assert greedy_repair(graph, np.array([1, 1, 0]), np.array([0.4, 0.4, -2.2]))[1]
+            build_partitions(concepts, list(priors), priors, potential, PartitionConfig(k=2))
+            train_linear_prior([(np.zeros(7), 0), (np.ones(7), 1)])
+            print("numpy.ma" in sys.modules)
+        """)
+        env = dict(os.environ)
+        source = str(Path(concord.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def _random_graph(rng, kind, potential, shape):
@@ -708,7 +804,7 @@ def _assert_rounds_match_reference(graphs, damping, rounds):
     """``jacobi_round`` and the reference round agree bit for bit after each round."""
     store, reference = MessageStore.initial(*graphs), MessageStore.initial(*graphs)
     for index in range(rounds):
-        change = jacobi_round(store, damping)
+        change = jacobi_round(store, damping, _beliefs(store))
         expected = reference_jacobi_round(reference, damping)
         for got, want in (
             (change, expected),
@@ -759,13 +855,13 @@ class TestInPlaceRound:
         graphs = [_random_graph(rng, EQ, potential, s) for s in ("dense", "unary", "sparse", "unary")]
         store = MessageStore.initial(*graphs)
         for _ in range(3):
-            jacobi_round(store, 0.5)
+            jacobi_round(store, 0.5, _beliefs(store))
         kept = np.array([False, True, True, False])
         taken = store.take(kept)
         alone = MessageStore.initial(*(g for g, k in zip(graphs, kept) if k))
         for name in ("edge_var", "unary_message", "variables", "factors", "runs", "ternary_run"):
             np.testing.assert_array_equal(getattr(taken, name), getattr(alone, name), err_msg=name)
-        change = jacobi_round(taken, 0.5)
+        change = jacobi_round(taken, 0.5, _beliefs(taken))
         assert taken.graph_deltas(change).shape == (2,)
 
     def test_refuses_a_graph_without_variables(self):

@@ -64,7 +64,7 @@ def reference_rounds(graph, config):
     labels = _beliefs(store) > 0
     last_change = 1
     for iteration in range(1, config.max_iterations + 1):
-        delta = jacobi_round(store, config.damping).max()
+        delta = jacobi_round(store, config.damping, _beliefs(store)).max()
         beliefs = _beliefs(store)
         if not np.array_equal(beliefs > 0, labels):
             last_change = iteration
@@ -105,7 +105,7 @@ class TestLabelStop:
         # the labels held from the last change to the stop.
         store = MessageStore.initial(graph)
         for iteration in range(1, decoded.iterations + 1):
-            assert jacobi_round(store, config.damping).max() >= config.tolerance
+            assert jacobi_round(store, config.damping, _beliefs(store)).max() >= config.tolerance
             labels = (_beliefs(store) > 0).astype(np.int64)
             if iteration == decoded.last_label_change - 1:
                 assert labels.tolist() != decoded.labels.tolist()

@@ -223,8 +223,19 @@ class TestBuildPartitions:
         counterparts = np.array([n - 7, n - 1, n - 8, n - 6, n - 2])
         owner = np.array([0, 0, 1, 1, 1])
         first, second = np.array([2, 4, 3]), np.array([4, 2, 2])
-        codes, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second)
+        codes, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second, n)
         assert size == 7 and codes.dtype == np.int64
+        # Each union id is the rank of its key g * n + c among all the keys.
+        keys = sorted({
+            *(g * n + c for g, c in zip(owner.tolist(), anchors.tolist())),
+            *(g * n + c for g, c in zip(owner.tolist(), counterparts.tolist())),
+        })
+        assert [keys[i] % n for i in range(size)] == concept_ids.tolist()
+        rank = {key: i for i, key in enumerate(keys)}
+        assert codes[:5].tolist() == [
+            rank[g * n + a] * size + rank[g * n + c]
+            for g, a, c in zip(owner.tolist(), anchors.tolist(), counterparts.tolist())
+        ]
         assert codes.min() >= 0 and codes.max() < size ** 2
         left, right = np.divmod(codes, size)
         pairs = list(zip(concept_ids[left].tolist(), concept_ids[right].tolist()))

@@ -399,8 +399,11 @@ class TestTraining:
         x = np.zeros(7)
         with pytest.raises(ConfigurationError):
             train_linear_prior([])
-        with pytest.raises(ConfigurationError):
-            train_linear_prior([(x, 1), (x, 1)])
+        # Only 0 and 1 are labels, and both must occur.
+        for labels in ([1, 1], [0, 0], [0, 1, 2], [0, 1, 0.5], [0, 1, np.nan]):
+            with pytest.raises(ConfigurationError, match="both classes"):
+                train_linear_prior([(x, label) for label in labels])
+        train_linear_prior([(x, True), (x, 0), (x, 1.0)])  # bool and float labels pass
 
     @pytest.mark.parametrize("settings_", [
         {"learning_rate": -1.0},

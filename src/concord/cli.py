@@ -41,9 +41,9 @@ logger = logging.getLogger("concord")
 
 # The most ternary cliques a dense run builds: the equivalence count at
 # n = 500.  Measured runs of infer --mode dense (equivalence n = 100-300,
-# parent-child n = 100-150; 2 vCPUs) cost about 220 bytes of peak RSS and
-# 4 microseconds per clique, linearly, so a run at the cap needs about
-# 4.6 GB and 80 s, and equivalence n = 600 would need about 7.9 GB.
+# parent-child n = 100-150; 2 vCPUs) cost about 210 bytes of peak RSS and
+# 3-5 microseconds per clique, linearly, so a run at the cap needs about
+# 4.4 GB and 80-100 s, and equivalence n = 600 would need about 7.5 GB.
 DENSE_CLIQUE_CAP = 20_708_500
 
 

@@ -1,10 +1,10 @@
 """Factor graph assembly: pairs, unary evidence, shared ternary cliques.
 
 A graph is its sorted concept pairs (a variable's id is the rank of its
-pair), their unary log priors and one row per ternary clique, under a
-shared potential that swaps without a rebuild.  A clique over concepts
-(i, j, k) stores its variables in slot order (x_ij, x_jk, x_ik), matching
-the potential table's configuration index 4*x_ij + 2*x_jk + x_ik.
+pair), their unary log priors and one row of variable ids per ternary
+clique, under a shared potential that swaps without a rebuild.  A clique
+over concepts (i, j, k) is the row (x_ij, x_jk, x_ik), in the potential
+table's order 4*x_ij + 2*x_jk + x_ik; its pairs give back (i, j, k).
 
 Pairs travel as int64 codes ``left * n + right``: a ``PriorTable`` holds
 the checked priors of a vocabulary that way, and one vectorized walk over
@@ -39,9 +39,8 @@ DEFAULT_PRIOR_P_ONE = 0.01
 class FactorGraph:
     n_concepts: int
     pairs: tuple[tuple[int, int], ...]  # sorted; variable i is pairs[i]
-    unary_log: np.ndarray        # (m, 2) raw log prior potentials
-    triples: np.ndarray          # (t, 3) variable ids in slot order (ij, jk, ik)
-    triple_concepts: np.ndarray  # (t, 3) concept ids (i, j, k)
+    unary_log: np.ndarray  # (m, 2) raw log prior potentials
+    triples: np.ndarray    # (t, 3) variable ids in slot order (ij, jk, ik)
     potential: TernaryPotential
 
     @property
@@ -72,6 +71,10 @@ class FactorGraph:
     def degrees(self) -> np.ndarray:
         """Factors per variable: its unary factor plus the cliques it sits in."""
         return 1 + np.bincount(self.triples.ravel(), minlength=self.num_variables)
+
+    def clique_concepts(self, rows: np.ndarray) -> list[tuple[int, int, int]]:
+        """Concepts (i, j, k) of ``triples[rows]``: (i, j) is x_ij's pair, k is x_jk's right."""
+        return [(*self.pairs[ij], self.pairs[jk][1]) for ij, jk, _ in self.triples[rows].tolist()]
 
 
 # About how many (ij, jk) pairings the clique walk tests at once, which
@@ -248,7 +251,7 @@ def build_factor_graph(
     mode: str = "dense",
     default_prior: float = DEFAULT_PRIOR_P_ONE,
     *,
-    cliques: Cliques | None = None,
+    cliques: np.ndarray | None = None,
 ) -> FactorGraph:
     """Assemble a factor graph over the vocabulary.
 
@@ -258,10 +261,10 @@ def build_factor_graph(
     pairs without a prior.  sparse mode creates variables only for the
     listed pairs.
 
-    ``cliques``, when given, must be ``enumerate_ternary_cliques`` of the
-    graph's pair codes, walked already by a trusted caller such as
-    ``partition.build_partitions``.  The build checks only their shape:
-    cliques of other codes would index the wrong variables.
+    ``cliques``, when given, are the (t, 3) variable rows of
+    ``enumerate_ternary_cliques`` over the graph's pair codes, walked already
+    by a trusted caller such as ``partition.build_partitions``.  The build
+    checks only their shape: rows of other codes index the wrong variables.
     """
     kind = potential.kind
     if isinstance(priors, PriorTable):
@@ -287,16 +290,15 @@ def build_factor_graph(
 
     # A pair's variable id is the rank of its code.
     if cliques is None:
-        cliques = enumerate_ternary_cliques(table.codes, n)
-    elif cliques.variables.shape != cliques.concepts.shape or cliques.concepts.shape[1:] != (3,):
-        raise ConfigurationError("given cliques must be (t, 3) concept and variable rows")
+        cliques = enumerate_ternary_cliques(table.codes, n).variables
+    elif cliques.shape[1:] != (3,):
+        raise ConfigurationError("given cliques must be (t, 3) variable rows")
     left, right = np.divmod(table.codes, n)
     return FactorGraph(
         n_concepts=n,
         pairs=tuple(zip(left.tolist(), right.tolist())),
         unary_log=table.unary_log,
-        triples=cliques.variables,
-        triple_concepts=cliques.concepts,
+        triples=cliques,
         potential=potential,
     )
 

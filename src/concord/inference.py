@@ -304,7 +304,7 @@ def _read_out(graph: FactorGraph, labels: np.ndarray) -> tuple[float, list[tuple
     codes = configuration_codes(labels, graph.triples)
     broken = graph.kind.forbidden[codes]
     if broken.any():
-        return LOG_ZERO, list(map(tuple, graph.triple_concepts[broken].tolist()))
+        return LOG_ZERO, graph.clique_concepts(broken)
     return score + float(graph.log_table[codes].sum()), []
 
 

@@ -23,16 +23,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import graph as graph_module
 from .errors import ConfigurationError
 from .evaluation import audit_labels
 from .graph import (
     DEFAULT_PRIOR_P_ONE,
-    Cliques,
     FactorGraph,
     PriorTable,
     build_factor_graph,
     checked_codes,
-    enumerate_ternary_cliques,
     prior_table,
 )
 from .inference import Beliefs, LbpConfig, lbp_map, max_product_rounds
@@ -165,7 +164,7 @@ def _closing_pairs(owner: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.n
 def _union_codes(
     owner: np.ndarray, anchors: np.ndarray, counterparts: np.ndarray,
     first: np.ndarray, second: np.ndarray, n: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Member codes over the disjoint union of the partitions' concepts.
 
     Test pair e is (anchors[e], counterparts[e]) of partition owner[e];
@@ -176,8 +175,8 @@ def _union_codes(
     among the keys of every partition's anchor and counterparts, so the
     union's concepts number T + P for T test pairs and P partitions,
     whatever the vocabulary size n, and each partition's union codes ascend
-    as its codes do.  Returns the members' union codes, the concept id of
-    each union concept, and their count.
+    as its codes do.  Returns the members' union codes and the count of
+    union concepts.
     """
     heads = np.flatnonzero(np.diff(owner, prepend=-1))
     anchor_keys = owner * n + anchors
@@ -187,29 +186,27 @@ def _union_codes(
     ids, anchor_ids = keys.searchsorted(counterpart_keys), keys.searchsorted(anchor_keys)
     size = len(keys)
     codes = np.concatenate([anchor_ids * size + ids, ids[first] * size + ids[second]])
-    return codes, keys % n, size
+    return codes, size
 
 
-def _cliques_by_partition(
-    codes: np.ndarray, size: int, stops: np.ndarray, concept_ids: np.ndarray
-) -> list[Cliques]:
-    """Each partition's cliques, from one walk over the disjoint union.
+def _cliques_by_partition(codes: np.ndarray, size: int, stops: np.ndarray) -> list[np.ndarray]:
+    """Each partition's (t, 3) clique variable rows, from one walk over the union.
 
     ``codes`` are the union codes of ``_union_codes`` in ascending order,
     and partition g holds the rows from ``stops[g - 1]`` (0 for the first)
     up to ``stops[g]``.  No two partitions share a union concept, so every
     clique lies in one partition, and one ``searchsorted`` cuts the walk.
-    Each partition's variables count from its first row and its concepts
-    are mapped back to concept ids; since ``_union_codes`` keeps each
-    partition's concepts in order, partition g's cliques are bitwise
-    ``enumerate_ternary_cliques`` of its own codes.
+    Each partition's variables count from its first row; since
+    ``_union_codes`` keeps each partition's concepts in order, partition
+    g's rows are bitwise the ``variables`` of ``enumerate_ternary_cliques``
+    of its own codes.
     """
-    cliques = enumerate_ternary_cliques(codes, size)
+    # Looked up at call time, so a patched or traced enumerator sees this walk.
+    walked = graph_module.enumerate_ternary_cliques(codes, size).variables
     starts = np.r_[0, stops[:-1]]
-    cuts = np.append(cliques.variables[:, 0].searchsorted(starts), len(cliques))
-    variables = cliques.variables - starts.repeat(np.diff(cuts))[:, None]
-    concepts = concept_ids[cliques.concepts]
-    return [Cliques(concepts[a:b], variables[a:b]) for a, b in itertools.pairwise(cuts.tolist())]
+    cuts = np.append(walked[:, 0].searchsorted(starts), len(walked))
+    variables = walked - starts.repeat(np.diff(cuts))[:, None]
+    return [variables[a:b] for a, b in itertools.pairwise(cuts.tolist())]
 
 
 def build_partitions(
@@ -246,14 +243,14 @@ def build_partitions(
     owner = np.arange(len(heads)).repeat(np.diff(heads, append=len(anchors)))
     a, b = _closing_pairs(owner[inside], kind.symmetric)
     first, second = inside[a], inside[b]
-    union, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second, n)
+    union, size = _union_codes(owner, anchors, counterparts, first, second, n)
     # Sorting the union codes sorts the members by partition, then by code.
     order = union.argsort()
     codes = np.concatenate([test_codes, counterparts[first] * n + counterparts[second]])
     # One lookup slices the table for every partition.
     local = table.select(codes[order], config.default_prior)
     stops = np.bincount(np.concatenate([owner, owner[first]])).cumsum()
-    cliques = _cliques_by_partition(union[order], size, stops, concept_ids)
+    cliques = _cliques_by_partition(union[order], size, stops)
 
     test_pairs = list(zip(anchors.tolist(), counterparts.tolist()))
     owned = itertools.pairwise([*heads.tolist(), len(anchors)])

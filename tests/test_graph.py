@@ -11,7 +11,6 @@ import concord.graph as graph_module
 from concord.errors import ConfigurationError
 from concord.graph import (
     DEFAULT_PRIOR_P_ONE,
-    Cliques,
     PriorTable,
     build_factor_graph,
     checked_pair,
@@ -57,6 +56,12 @@ def _sparse(n, pairs, kind):
 
 def _codes(pairs, n):
     return np.array(sorted(i * n + j for i, j in pairs), dtype=np.int64)
+
+
+def _clique_concepts(graph):
+    """Each clique's concepts (i, j, k): the pair of its x_ij slot, then the
+    right concept of its x_jk slot."""
+    return [(*graph.pairs[ij], graph.pairs[jk][1]) for ij, jk, _ in graph.triples.tolist()]
 
 
 def reference_cliques(pairs):
@@ -132,7 +137,7 @@ class TestDenseLayout:
         assert graph.num_ternary_factors == 1
         # Slot order is (x_01, x_12, x_02) to match the potential table.
         assert graph.triples[0].tolist() == [0, 2, 1]
-        assert graph.triple_concepts[0].tolist() == [0, 1, 2]
+        assert _clique_concepts(graph) == [(0, 1, 2)]
 
     def test_four_concepts_degrees(self):
         graph = _dense(4)
@@ -157,13 +162,13 @@ class TestDenseLayout:
 
     def test_triples_sorted_and_increasing(self):
         graph = _dense(6)
-        concepts = [tuple(row) for row in graph.triple_concepts]
+        concepts = _clique_concepts(graph)
         assert concepts == sorted(concepts)
         assert all(i < j < k for i, j, k in concepts)
 
     def test_parent_child_triples_are_ordered_chains(self):
         graph = _dense(3, PC)
-        concepts = [tuple(row) for row in graph.triple_concepts]
+        concepts = _clique_concepts(graph)
         assert len(concepts) == 6
         assert all(len({i, j, k}) == 3 for i, j, k in concepts)
         index = graph.pairs.index
@@ -200,7 +205,7 @@ class TestSparseMode:
             _concepts(4), priors, TernaryPotential.default(EQ), mode="sparse"
         )
         assert graph.num_ternary_factors == 1
-        assert graph.triple_concepts[0].tolist() == [0, 1, 2]
+        assert _clique_concepts(graph) == [(0, 1, 2)]
 
     def test_empty_prior_map_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -302,7 +307,7 @@ class TestCliqueEnumeration:
         for kind in (EQ, PC):
             pairs = _random_pairs(n, kind, rng)
             graph = _sparse(n, pairs, kind)
-            concepts = [tuple(row) for row in graph.triple_concepts.tolist()]
+            concepts = _clique_concepts(graph)
             assert concepts == _brute_force_cliques(pairs)
             index = graph.pairs.index
             for (i, j, k), row in zip(concepts, graph.triples.tolist()):
@@ -365,8 +370,9 @@ class TestPriorTable:
         table = prior_table(priors, 4, EQ)
         from_table = build_factor_graph(_concepts(4), table, TernaryPotential.default(EQ), mode)
         assert from_table.pairs == from_map.pairs
-        for name in ("unary_log", "triples", "triple_concepts"):
+        for name in ("unary_log", "triples"):
             assert getattr(from_table, name).tolist() == getattr(from_map, name).tolist()
+        assert _clique_concepts(from_table) == _clique_concepts(from_map)
 
     @pytest.mark.parametrize("kind", [EQ, PC])
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
@@ -380,23 +386,24 @@ class TestPriorTable:
 
         monkeypatch.setattr(graph_module, "enumerate_ternary_cliques", no_walk)
         given = build_factor_graph(
-            _concepts(7), priors, TernaryPotential.default(kind), mode, cliques=cliques
+            _concepts(7), priors, TernaryPotential.default(kind), mode, cliques=cliques.variables
         )
         assert given.pairs == walked.pairs and given.num_ternary_factors > 0
         assert all(type(v) is int for pair in given.pairs for v in pair)
-        for name in ("unary_log", "triples", "triple_concepts"):
+        for name in ("unary_log", "triples"):
             array, reference = getattr(given, name), getattr(walked, name)
             assert array.dtype == reference.dtype
             assert array.tobytes() == reference.tobytes()
+        assert _clique_concepts(given) == _clique_concepts(walked) == list(cliques)
 
     def test_given_cliques_must_be_three_column_rows(self):
         priors = {(0, 1): 0.6, (1, 2): 0.6, (0, 2): 0.6}
-        cliques = enumerate_ternary_cliques(_codes(priors, 3), 3)
-        flat = Cliques(cliques.concepts.ravel(), cliques.variables.ravel())
-        with pytest.raises(ConfigurationError, match=r"\(t, 3\)"):
-            build_factor_graph(
-                _concepts(3), priors, TernaryPotential.default(EQ), "sparse", cliques=flat
-            )
+        rows = enumerate_ternary_cliques(_codes(priors, 3), 3).variables
+        for bad in (rows.ravel(), rows[:, :2], rows[..., None]):
+            with pytest.raises(ConfigurationError, match=r"\(t, 3\) variable rows"):
+                build_factor_graph(
+                    _concepts(3), priors, TernaryPotential.default(EQ), "sparse", cliques=bad
+                )
 
     def test_table_of_another_vocabulary_rejected(self):
         table = prior_table({(0, 1): 0.9}, 3, EQ)

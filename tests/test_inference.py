@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import concord
 from concord.errors import ConfigurationError
-from concord.evaluation import audit_labels
+from concord.evaluation import audit_labels, generate_synthetic
 from concord.graph import build_factor_graph
 from concord.inference import (
     MESSAGE_SPREAD_CAP,
@@ -45,6 +45,7 @@ from concord.model import (
     RelationshipKind,
     TernaryPotential,
 )
+from concord.partition import PartitionConfig, build_partitions
 
 EQ = RelationshipKind.EQUIVALENCE
 PC = RelationshipKind.PARENT_CHILD
@@ -517,9 +518,11 @@ class TestOneRule:
 
     @pytest.mark.parametrize("kind", [EQ, PC])
     def test_decode_audit_is_audit_labels(self, kind):
+        # Two sources: whole sparse graphs over concepts 0..n-1, and the
+        # local graphs of build_partitions, whose concept ids have gaps.
         rng = np.random.default_rng(53)
         potential = TernaryPotential.default(kind)
-        broken = 0
+        whole = []
         for _ in range(60):
             n = int(rng.integers(4, 8))
             every = list(
@@ -528,14 +531,23 @@ class TestOneRule:
             )
             pairs = [pair for pair in every if rng.random() < 0.7] or every[:1]
             priors = {pair: float(rng.uniform(0.02, 0.98)) for pair in pairs}
-            graph = build_factor_graph(_concepts(n), priors, potential, mode="sparse")
-            beliefs = Beliefs(rng.normal(size=graph.num_variables), 1, False)
-            decoded = lbp_map(graph, beliefs=beliefs)
-            expected = audit_labels(decoded.label_map(), kind)[1]
-            assert decoded.violations == expected
-            assert (joint_log_score(graph, decoded.labels) == LOG_ZERO) is bool(expected)
-            broken += bool(expected)
-        assert 0 < broken < 60
+            whole.append(build_factor_graph(_concepts(n), priors, potential, mode="sparse"))
+        data = generate_synthetic(kind, 40, prior_noise=0.2, seed=7, pair_mode="sparse")
+        # Every other pair, so that some local graphs close no clique.
+        partitions = build_partitions(
+            data.concepts, data.pairs[::2], data.priors, potential, PartitionConfig(k=4)
+        )
+        for graphs in (whole, [part.graph for part in partitions]):
+            broken = 0
+            for graph in graphs:
+                beliefs = Beliefs(rng.normal(size=graph.num_variables), 1, False)
+                decoded = lbp_map(graph, beliefs=beliefs)
+                expected = audit_labels(decoded.label_map(), kind)[1]
+                assert decoded.violations == expected
+                assert all(type(v) is int for triple in decoded.violations for v in triple)
+                assert (joint_log_score(graph, decoded.labels) == LOG_ZERO) is bool(expected)
+                broken += bool(expected)
+            assert 0 < broken < len(graphs)
 
 
 def _prior_log_odds(graph):

@@ -200,12 +200,10 @@ class TestBuildPartitions:
                 for pair in members
             ]
             alone = enumerate_ternary_cliques(np.array([i * n + j for i, j in members]), n)
-            for array, reference in (
-                (part.graph.triples, alone.variables),
-                (part.graph.triple_concepts, alone.concepts),
-            ):
-                assert array.dtype == reference.dtype and array.shape == reference.shape
-                assert array.tolist() == reference.tolist()
+            triples, reference = part.graph.triples, alone.variables
+            assert triples.dtype == reference.dtype and triples.shape == reference.shape
+            assert triples.tolist() == reference.tolist()
+            assert part.graph.clique_concepts(slice(None)) == list(alone)
         assert any(len(p.graph.pairs) > len(p.test_pairs) for p in parts)
         assert any(p.graph.num_ternary_factors for p in parts)
         if case == "some unary-only":
@@ -223,14 +221,14 @@ class TestBuildPartitions:
         counterparts = np.array([n - 7, n - 1, n - 8, n - 6, n - 2])
         owner = np.array([0, 0, 1, 1, 1])
         first, second = np.array([2, 4, 3]), np.array([4, 2, 2])
-        codes, concept_ids, size = _union_codes(owner, anchors, counterparts, first, second, n)
+        codes, size = _union_codes(owner, anchors, counterparts, first, second, n)
         assert size == 7 and codes.dtype == np.int64
         # Each union id is the rank of its key g * n + c among all the keys.
         keys = sorted({
             *(g * n + c for g, c in zip(owner.tolist(), anchors.tolist())),
             *(g * n + c for g, c in zip(owner.tolist(), counterparts.tolist())),
         })
-        assert [keys[i] % n for i in range(size)] == concept_ids.tolist()
+        concept_ids = np.array([key % n for key in keys])
         rank = {key: i for i, key in enumerate(keys)}
         assert codes[:5].tolist() == [
             rank[g * n + a] * size + rank[g * n + c]
@@ -245,6 +243,23 @@ class TestBuildPartitions:
         ]
         # Each partition's union codes sort as its pairs do, partition by partition.
         assert [pairs[i] for i in codes.argsort()] == sorted(pairs[:2]) + sorted(pairs[2:])
+
+    def test_one_walk_is_the_graph_modules_enumerator(self, monkeypatch):
+        # The walk is looked up on concord.graph when called, so a wrapper
+        # put there (a tracer's, say) sees it, and it is the only walk.
+        data = generate_synthetic(EQ, 40, prior_noise=0.2, seed=6, pair_mode="sparse")
+        walks = []
+
+        def counted(codes, n):
+            walks.append(len(codes))
+            return enumerate_ternary_cliques(codes, n)
+
+        monkeypatch.setattr(graph_module, "enumerate_ternary_cliques", counted)
+        parts = build_partitions(
+            data.concepts, data.pairs, data.priors, TernaryPotential.default(EQ),
+            PartitionConfig(k=4),
+        )
+        assert walks == [sum(p.graph.num_variables for p in parts)]
 
     @pytest.mark.parametrize("step", [3, 1 << 14])
     @pytest.mark.parametrize("kind", [EQ, PC])
@@ -273,16 +288,17 @@ class TestBuildPartitions:
             expected.append(enumerate_ternary_cliques(np.array(codes, dtype=np.int64), n))
         size = len(concept_ids)
         found = _cliques_by_partition(
-            np.array([i * size + j for i, j in union], dtype=np.int64),
-            size, np.array(stops), np.array(concept_ids),
+            np.array([i * size + j for i, j in union], dtype=np.int64), size, np.array(stops)
         )
         assert len(found) == len(graphs)
         assert len(found[0]) == len(found[-1]) == 0 < sum(map(len, found))
-        for alone, walked in zip(expected, found):
-            for name in ("concepts", "variables"):
-                array, reference = getattr(walked, name), getattr(alone, name)
-                assert array.dtype == reference.dtype and array.shape == reference.shape
-                assert array.tolist() == reference.tolist()
+        for alone, walked, start, stop in zip(expected, found, [0, *stops], stops):
+            reference = alone.variables
+            assert walked.dtype == reference.dtype and walked.shape == reference.shape
+            assert walked.tolist() == reference.tolist()
+            # The rows name the partition's concepts through its own pairs.
+            pairs = [(concept_ids[i], concept_ids[j]) for i, j in union[start:stop]]
+            assert [(*pairs[ij], pairs[jk][1]) for ij, jk, _ in walked.tolist()] == list(alone)
 
     def test_local_size_bound(self):
         k = 4
